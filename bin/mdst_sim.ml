@@ -458,22 +458,22 @@ let pbt_cmd =
     let module C = Mdst_check.Convergence in
     let module P = Mdst_check.Property in
     let module S = Mdst_check.Suites in
-    let run_case, prop, variant =
-      if broken then (C.Broken.run_case, C.Broken.prop () , "broken grant-dropping variant")
-      else (C.Default.run_case, C.Default.prop (), "paper protocol")
+    let run_case, variant =
+      if broken then ((fun c -> C.Broken.run_case c), "broken grant-dropping variant")
+      else ((fun c -> C.Default.run_case c), "paper protocol")
     in
     match replay with
     | Some line ->
         let case = C.case_of_string line in
         Printf.printf "replaying (%s): %s\n%!" variant (C.case_to_string case);
-        let r = run_case ?budget:None case in
+        let r = run_case case in
         Printf.printf
           "converged: %b\nrounds: %d (last fault at round %d)\ntree degree: %s (FR reference %d)\nclosure: %b\n"
           r.C.converged r.C.rounds r.C.last_fault_round
           (match r.C.degree with Some d -> string_of_int d | None -> "-")
           r.C.fr_degree r.C.closure_ok;
         Format.printf "faults applied: %a@." Mdst_sim.Fault.pp_stats r.C.stats;
-        (match prop case with
+        (match C.verdict r with
         | Ok () -> print_endline "property: holds on this case"
         | Error reason ->
             Printf.printf "property: falsified — %s\n" reason;

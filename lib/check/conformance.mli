@@ -1,28 +1,17 @@
 (** Reference-model conformance: the real automaton and {!Mdst_model.Model}
-    driven in lockstep on the same engine-produced event sequence.
+    driven in lockstep on the engine's own event sequence.
 
     The engine runs the real protocol as usual (arrival-time order, FIFO
-    floors, random tick phases); a tap around the automaton records which
-    event each step executed, and the model replays exactly that event on
-    its idealized configuration.  After every event the driver compares
-
-    - the delivered message against the model's channel head (FIFO
-      conformance),
-    - the {!Mdst_core.Projection} of all node states (observable
-      conformance),
-    - the full [State.t] arrays (internal conformance — a divergence here
-      with equal projections means a non-observable field drifted),
-
-    and at the end of the sequence the complete in-flight channel contents.
-    Any mismatch is a {e divergence}; the property shrinks a diverging case
-    to a one-line reproducer like the convergence harness does.
+    floors, random tick phases) and {!Lockstep} replays every executed
+    event on the model with all of its checks.  Any mismatch is a
+    {e divergence}; the property shrinks a diverging case to a one-line
+    reproducer like the convergence harness does.
 
     Clean builds must show zero divergences on every fixture and generated
     case; the mutation suite ({!Mutants}) relies on reintroduced historical
     bugs surfacing here. *)
 
 module Graph = Mdst_graph.Graph
-module Model = Mdst_model.Model
 
 type case = {
   graph : Graph.t;
@@ -43,29 +32,17 @@ val gen_case : ?min_n:int -> ?max_n:int -> ?max_events:int -> unit -> case Gen.t
 val shrink_case : case Shrink.t
 (** Event-count bisection first (cheap), then graph shrinking. *)
 
-type divergence = {
-  index : int;  (** 1-based event index at which the divergence appeared *)
-  event : string;  (** the event, in {!Mdst_model.Model.event_to_string} form *)
-  detail : string;  (** what differed, field by field *)
-}
-
-type report = { events_run : int; divergence : divergence option }
-
 (** What one automaton/model pairing exposes. *)
 module type S = sig
-  val run_case : case -> report
+  val run_case : case -> Lockstep.result
+  (** The {!Lockstep} run under {!Lockstep.Engine_order}; a [failure] is
+      a divergence. *)
 
   val prop : case Property.prop
 
   val property :
     ?min_n:int -> ?max_n:int -> ?max_events:int -> unit -> case Property.t
 end
-
-module Make (A : Mdst_sim.Node.AUTOMATON
-               with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (_ : sig
-  val params : Model.params
-end) : S
 
 module Default : S
 (** [Proto.Default] against [Model.default]. *)

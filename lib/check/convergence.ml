@@ -13,70 +13,11 @@ type case = { graph : Graph.t; plan : Fault.plan; seed : int }
 (* ---------------- reproducer format ---------------- *)
 
 let case_to_string c =
-  let n = Graph.n c.graph in
-  let ids = List.init n (Graph.id c.graph) in
-  let identity = List.for_all2 ( = ) ids (List.init n Fun.id) in
-  let edges =
-    Array.to_list (Graph.edges c.graph)
-    |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-    |> String.concat ","
-  in
-  String.concat ";"
-    ([ Printf.sprintf "n=%d" n ]
-    @ (if identity then []
-       else [ "ids=" ^ String.concat "," (List.map string_of_int ids) ])
-    @ [
-        "edges=" ^ edges;
-        Printf.sprintf "seed=%d" c.seed;
-        "plan=" ^ Fault.to_string c.plan;
-      ])
-
-let fail fmt = Printf.ksprintf invalid_arg fmt
+  String.concat ";" (Repro.common c.graph ~seed:c.seed @ [ "plan=" ^ Fault.to_string c.plan ])
 
 let case_of_string s =
-  let n = ref None and ids = ref None and edges = ref None in
-  let seed = ref 0 and plan = ref Fault.empty in
-  List.iter
-    (fun part ->
-      let part = String.trim part in
-      if part = "" then ()
-      else
-        match String.index_opt part '=' with
-        | None -> fail "Convergence.case_of_string: bad component %S" part
-        | Some i -> (
-            let key = String.sub part 0 i in
-            let value = String.sub part (i + 1) (String.length part - i - 1) in
-            match key with
-            | "n" -> n := int_of_string_opt value
-            | "ids" ->
-                ids :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.map (fun v ->
-                           match int_of_string_opt (String.trim v) with
-                           | Some x -> x
-                           | None -> fail "Convergence.case_of_string: bad id %S" v))
-            | "seed" -> (
-                match int_of_string_opt value with
-                | Some v -> seed := v
-                | None -> fail "Convergence.case_of_string: bad seed %S" value)
-            | "plan" -> plan := Fault.of_string value
-            | "edges" ->
-                edges :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.filter (fun e -> String.trim e <> "")
-                    |> List.map (fun e ->
-                           match String.split_on_char '-' (String.trim e) with
-                           | [ u; v ] -> (int_of_string u, int_of_string v)
-                           | _ -> fail "Convergence.case_of_string: bad edge %S" e))
-            | _ -> fail "Convergence.case_of_string: unknown key %S" key))
-    (String.split_on_char ';' s);
-  match (!n, !edges) with
-  | Some n, Some edges ->
-      let ids = Option.map Array.of_list !ids in
-      { graph = Graph.of_edges ?ids ~n edges; plan = !plan; seed = !seed }
-  | _ -> fail "Convergence.case_of_string: missing n= or edges="
+  let f = Repro.parse ~what:"Convergence.case_of_string" ~keys:[ "plan" ] s in
+  { graph = Repro.graph f; plan = Repro.plan f; seed = Repro.seed f }
 
 (* ---------------- generation and shrinking ---------------- *)
 
@@ -102,13 +43,7 @@ let shrink_case c =
     let bridges = Mdst_graph.Algo.bridges c.graph in
     Array.to_seq (Graph.edges c.graph)
     |> Seq.filter (fun e -> not (List.mem e bridges))
-    |> Seq.map (fun (u, v) ->
-           let ids = Array.init (Graph.n c.graph) (Graph.id c.graph) in
-           let kept =
-             Graph.fold_edges c.graph ~init:[] ~f:(fun acc a b ->
-                 if (a = u && b = v) || (a = v && b = u) then acc else (a, b) :: acc)
-           in
-           { c with graph = Graph.of_edges ~ids ~n:(Graph.n c.graph) kept })
+    |> Seq.map (fun e -> { c with graph = Shrink.remove_edge c.graph e })
   in
   Seq.append vertices (Seq.append plans edges)
 
@@ -122,23 +57,53 @@ type report = {
   converged : bool;
   rounds : int;
   last_fault_round : int;
+  outstanding : bool;
   degree : int option;
   fr_degree : int;
   closure_ok : bool;
   stats : Fault.stats;
 }
 
+(* Failure order: no convergence, a stop declared while the adversary
+   was still at work, degree bound, then closure. *)
+let verdict r =
+  if not r.converged then
+    Error
+      (Printf.sprintf
+         "no convergence: still illegitimate or improvable %d rounds after the last fault \
+          (round %d; faults applied: %s)"
+         (r.rounds - r.last_fault_round) r.last_fault_round
+         (Format.asprintf "%a" Fault.pp_stats r.stats))
+  else if r.outstanding then
+    Error
+      (Printf.sprintf
+         "convergence declared at round %d with adversarial work still outstanding \
+          (tampered message in flight or scheduled fault pending)"
+         r.rounds)
+  else
+    match r.degree with
+    | Some d when d > r.fr_degree + 1 ->
+        Error
+          (Printf.sprintf "degree bound violated: deg(T) = %d > deg_FR + 1 = %d" d
+             (r.fr_degree + 1))
+    | _ when not r.closure_ok ->
+        Error "closure violated: fingerprint or legitimacy changed after convergence"
+    | _ -> Ok ()
+
 module Harness (A : Mdst_sim.Node.AUTOMATON
                   with type state = Mdst_core.State.t
                    and type msg = Mdst_core.Msg.t) =
 struct
   module R = Run.Runner (A)
+  module Engine = R.Engine
 
   let fixpoint tree = not (Fr.improvable tree)
 
-  let run_case ?(budget = default_budget) case =
-    let engine = R.make_engine ~seed:case.seed ~init:`Random case.graph in
-    R.Engine.install_faults engine ~remap:Mdst_core.Transplant.states case.plan;
+  let run_case ?(budget = default_budget) ?(init : [ `Clean | `Random ] = `Random)
+      ?(prefix = ignore) case =
+    let engine = R.make_engine ~seed:case.seed ~init:(init :> Run.init) case.graph in
+    Engine.install_faults engine ~remap:Mdst_core.Transplant.states case.plan;
+    prefix engine;
     let last_fault_round = Fault.last_fault_round case.plan in
     let max_rounds =
       last_fault_round + budget.settle_rounds
@@ -157,59 +122,44 @@ struct
     let stop e =
       let held = base_stop e in
       held
-      && R.Engine.rounds e > last_fault_round
-      && (Mdst_util.Mutation.enabled "stop-check-race" || not (R.Engine.faults_pending e))
+      && Engine.rounds e > last_fault_round
+      && (Mdst_util.Mutation.enabled "stop-check-race" || not (Engine.faults_pending e))
     in
-    let outcome = R.Engine.run engine ~max_rounds ~check_every:2 ~stop () in
-    let final_graph = R.Engine.graph engine in
-    let degree = Checker.tree_degree_now final_graph (R.Engine.states engine) in
+    let outcome = Engine.run engine ~max_rounds ~check_every:2 ~stop () in
+    let outstanding = outcome.converged && Engine.faults_pending engine in
+    let final_graph = Engine.graph engine in
+    let degree = Checker.tree_degree_now final_graph (Engine.states engine) in
     let fr_degree = Tree.max_degree (Fr.approx_mdst final_graph) in
     let closure_ok =
-      if not outcome.converged then true
+      if outstanding || not outcome.converged then true
       else begin
         (* Closure: nothing fingerprinted may move once legitimate —
            self-stabilizing protocols keep gossiping and searching, but no
            swap may commit any more. *)
-        let fp = Checker.fingerprint (R.Engine.states engine) in
+        let fp = Checker.fingerprint (Engine.states engine) in
         let _ =
-          R.Engine.run engine
-            ~max_rounds:(R.Engine.rounds engine + budget.closure_rounds)
+          Engine.run engine
+            ~max_rounds:(Engine.rounds engine + budget.closure_rounds)
             ~check_every:4
             ~stop:(fun _ -> false)
             ()
         in
-        Checker.fingerprint (R.Engine.states engine) = fp
-        && Checker.legitimate final_graph (R.Engine.states engine)
+        Checker.fingerprint (Engine.states engine) = fp
+        && Checker.legitimate final_graph (Engine.states engine)
       end
     in
     {
       converged = outcome.converged;
       rounds = outcome.rounds;
       last_fault_round;
+      outstanding;
       degree;
       fr_degree;
       closure_ok;
-      stats = R.Engine.fault_stats engine;
+      stats = Engine.fault_stats engine;
     }
 
-  let prop ?budget () case =
-    let r = run_case ?budget case in
-    if not r.converged then
-      Error
-        (Printf.sprintf
-           "no convergence: still illegitimate or improvable %d rounds after the last fault \
-            (round %d; faults applied: %s)"
-           (r.rounds - r.last_fault_round) r.last_fault_round
-           (Format.asprintf "%a" Fault.pp_stats r.stats))
-    else
-      match r.degree with
-      | Some d when d > r.fr_degree + 1 ->
-          Error
-            (Printf.sprintf "degree bound violated: deg(T) = %d > deg_FR + 1 = %d" d
-               (r.fr_degree + 1))
-      | _ when not r.closure_ok ->
-          Error "closure violated: fingerprint or legitimacy changed after convergence"
-      | _ -> Ok ()
+  let prop ?budget () case = verdict (run_case ?budget case)
 
   let property ?budget ?min_n ?max_n ?max_events ?horizon () =
     Property.make
@@ -223,8 +173,30 @@ module Default = Harness (Mdst_core.Proto.Default)
 
 module Suppressed = Harness (Mdst_core.Proto.Suppressed)
 
-module Broken_automaton = Lossy.Make (Mdst_core.Proto.Default) (struct
-  let drop_labels = [ "grant" ]
-end)
+module Broken = struct
+  module Mutation = Mdst_util.Mutation
 
-module Broken = Harness (Broken_automaton)
+  let active () = List.filter Mutation.enabled Mutation.names
+
+  (* Force grant-drop on top of the active mutants; afterwards revert to
+     the environment, or re-force the previous set if it differed. *)
+  let grant_drop f x =
+    let before = active () in
+    Mutation.force (Some ("grant-drop" :: before));
+    Fun.protect
+      ~finally:(fun () ->
+        Mutation.force None;
+        if active () <> before then Mutation.force (Some before))
+      (fun () -> f x)
+
+  module Engine = Default.Engine
+
+  let run_case ?budget ?init ?prefix case =
+    grant_drop (Default.run_case ?budget ?init ?prefix) case
+
+  let prop ?budget () case = grant_drop (Default.prop ?budget ()) case
+
+  let property ?budget ?min_n ?max_n ?max_events ?horizon () =
+    let p = Default.property ?budget ?min_n ?max_n ?max_events ?horizon () in
+    { p with Property.name = p.Property.name ^ "+grant-drop"; prop = prop ?budget () }
+end

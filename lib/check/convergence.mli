@@ -52,18 +52,37 @@ type report = {
   converged : bool;
   rounds : int;  (** rounds at the first convergence check that held *)
   last_fault_round : int;
+  outstanding : bool;
+      (** convergence was declared while a scheduled fault was pending or
+          a tampered message still in flight — only a stop check that
+          races the adversary can do that *)
   degree : int option;  (** deg(T) of the final tree, when one exists *)
   fr_degree : int;  (** FR reference degree on the {e final} topology *)
-  closure_ok : bool;  (** true when not applicable (no convergence) *)
+  closure_ok : bool;
+      (** true when not applicable (no convergence, or [outstanding]) *)
   stats : Mdst_sim.Fault.stats;  (** what the adversary actually did *)
 }
 
-(** The harness, generic over protocol variants so broken variants are
-    first-class test subjects. *)
+val verdict : report -> (unit, string) result
+(** The property's judgement of one run: [Error] on no convergence, an
+    [outstanding] stop, a broken degree bound or a closure breach, in
+    that order. *)
+
+(** The harness, generic over protocol variants. *)
 module Harness (A : Mdst_sim.Node.AUTOMATON
                   with type state = Mdst_core.State.t
                    and type msg = Mdst_core.Msg.t) : sig
-  val run_case : ?budget:budget -> case -> report
+  module Engine : module type of Mdst_sim.Engine.Make (A)
+
+  val run_case :
+    ?budget:budget ->
+    ?init:[ `Clean | `Random ] ->
+    ?prefix:(Engine.t -> unit) ->
+    case ->
+    report
+  (** [init] defaults to [`Random].  [prefix] runs on the engine after the
+      plan is installed and before the convergence run — the schedule
+      fuzzer drives its fuzzed prefix through it. *)
 
   val prop : ?budget:budget -> unit -> case Property.prop
 
@@ -87,11 +106,9 @@ module Suppressed : module type of Harness (Mdst_core.Proto.Suppressed)
     the suppression cache ([last_info] / [info_age]), so this validates
     that the periodic refresh preserves self-stabilization. *)
 
-module Broken_automaton : Mdst_sim.Node.AUTOMATON
-  with type state = Mdst_core.State.t
-   and type msg = Mdst_core.Msg.t
-(** {!Mdst_core.Proto.Default} with every [Grant] discarded on receipt —
-    the swap acknowledgement is skipped, no improvement ever commits.
-    Exists to prove the harness catches real protocol bugs. *)
-
-module Broken : module type of Harness (Broken_automaton)
+(** {!Default} with the ["grant-drop"] {!Mdst_util.Mutation} forced on
+    for every run, on top of any mutants already active: every [Grant]
+    is discarded on receipt, so no improvement ever commits.  Exists to
+    prove the harness catches real protocol bugs.  Each call puts the
+    previous set of active mutants back afterwards, also on exception. *)
+module Broken : module type of Default

@@ -189,12 +189,12 @@ let legitimate_with ctxs graph =
         info_age = 0;
       })
 
-(* Handler-independent contexts: the premise and the legitimate builder
-   only read the topology fields (neighbors / ids / n), so a no-op-send
-   context array lets external harnesses (the fuzzer) call them against a
-   bare graph.  The exported graph-only wrappers below build one per call —
-   O(n·δ) array setup, noise next to the checks themselves. *)
-let dummy_ctxs graph =
+(* Hand-built contexts for driving handlers outside the engine; [send]
+   receives [(src, dst, msg)].  The premise and the legitimate builder only
+   read the topology fields (neighbors / ids / n), so the graph-only
+   wrappers below build a no-op-send array per call — O(n·δ) setup, noise
+   next to the checks themselves. *)
+let contexts ?(send = fun _ _ _ -> ()) graph =
   let n = Graph.n graph in
   Array.init n (fun v ->
       let nbrs = Array.copy (Graph.neighbors graph v) in
@@ -204,15 +204,15 @@ let dummy_ctxs graph =
         n;
         neighbors = nbrs;
         neighbor_ids = Array.map (Graph.id graph) nbrs;
-        send = (fun _ _ -> ());
+        send = send v;
         note_suppressed = (fun _ -> ());
         rng = Prng.create 0;
         now = (fun () -> 0.0);
       })
 
-let legitimate_states graph = legitimate_with (dummy_ctxs graph) graph
+let legitimate_states graph = legitimate_with (contexts graph) graph
 
-let premise graph nodes channels = premise_with (dummy_ctxs graph) graph nodes channels
+let premise graph nodes channels = premise_with (contexts graph) graph nodes channels
 
 (* ---------------- the explorer ---------------- *)
 
@@ -222,24 +222,6 @@ module Make (A : Mdst_sim.Node.AUTOMATON
   val params : Model.params
 end) =
 struct
-  module E = Mdst_sim.Engine.Make (A)
-
-  let make_ctxs graph outbox =
-    let n = Graph.n graph in
-    Array.init n (fun v ->
-        let nbrs = Array.copy (Graph.neighbors graph v) in
-        {
-          Node.node = v;
-          id = Graph.id graph v;
-          n;
-          neighbors = nbrs;
-          neighbor_ids = Array.map (Graph.id graph) nbrs;
-          send = (fun dst msg -> outbox := (v, dst, msg) :: !outbox);
-          note_suppressed = (fun _ -> ());
-          rng = Prng.create 0;
-          now = (fun () -> 0.0);
-        })
-
   let initial ctxs ~init graph =
     let n = Graph.n graph in
     let nodes, channels =
@@ -311,7 +293,7 @@ struct
   let dfs ?(max_depth = 10) ?(max_configs = 20_000) ~init graph =
     let n = Graph.n graph in
     let outbox = ref [] in
-    let ctxs = make_ctxs graph outbox in
+    let ctxs = contexts ~send:(fun v dst msg -> outbox := (v, dst, msg) :: !outbox) graph in
     let m0 = initial ctxs ~init graph in
     let visited : (int, (State.t array * Msg.t list array) list) Hashtbl.t =
       Hashtbl.create 1024
@@ -393,74 +375,16 @@ struct
 
   (* ---------------- random lockstep walk ---------------- *)
 
+  module L = Lockstep.Make (A) (P)
+
   let walk ?(steps = 500) ~seed ~init graph =
-    let n = Graph.n graph in
-    let init_e = match init with `Clean -> `Clean | `Random -> `Random in
-    let engine = E.create ~seed ~init:init_e graph in
-    let model =
-      ref
-        (Model.make ~params:P.params ~states:(E.states engine)
-           ~in_flight:(E.in_flight engine) graph)
-    in
     let rng = Prng.create (seed lxor 0x9e3f) in
-    let err = ref None in
-    let i = ref 0 in
-    while !i < steps && !err = None do
-      incr i;
-      let chosen = ref None in
-      ignore
-        (E.step_with engine ~choose:(fun arr ->
-             let k = Prng.int rng (Array.length arr) in
-             chosen := Some arr.(k);
-             k));
-      (match !chosen with
-      | None -> err := Some (Printf.sprintf "step %d: engine ran no event" !i)
-      | Some (E.Choose_tick { node }) ->
-          model := Model.step !model (Model.Tick node)
-      | Some (E.Choose_deliver { src; dst; label }) -> (
-          match Model.peek !model ~src ~dst with
-          | Some m when Msg.label m = label ->
-              model := Model.step !model (Model.Deliver { src; dst })
-          | Some m ->
-              err :=
-                Some
-                  (Printf.sprintf
-                     "step %d: channel %d->%d head mismatch (engine %s, model %s)"
-                     !i src dst label (Msg.label m))
-          | None ->
-              err :=
-                Some
-                  (Printf.sprintf
-                     "step %d: engine delivered %s on %d->%d but model channel is empty"
-                     !i label src dst)));
-      if !err = None && E.states engine <> (!model).Model.nodes then
-        err := Some (Printf.sprintf "step %d: node states diverged" !i)
-    done;
-    (match !err with
-    | Some _ -> ()
-    | None ->
-        let chans = Array.make (n * n) [] in
-        List.iter
-          (fun (src, dst, msg) ->
-            let k = (src * n) + dst in
-            chans.(k) <- msg :: chans.(k))
-          (E.in_flight engine);
-        Array.iteri (fun k l -> chans.(k) <- List.rev l) chans;
-        Array.iteri
-          (fun k l ->
-            if !err = None && l <> (!model).Model.channels.(k) then
-              err :=
-                Some
-                  (Printf.sprintf "final in-flight mismatch on channel %d->%d"
-                     (k / n) (k mod n)))
-          chans);
-    match !err with None -> Ok !i | Some e -> Error e
+    let r = L.run ~seed ~init ~events:steps (Lockstep.Pick (Lockstep.uniform rng)) graph in
+    match r.Lockstep.failure with
+    | None -> Ok r.Lockstep.events_run
+    | Some f -> Error (Lockstep.describe f)
 end
 
-module Default = Make (Mdst_core.Proto.Default) (struct
-  let params = Model.default
-end)
+module Default = Make (Mdst_core.Proto.Default) (Lockstep.Default_params)
 
-module Suppressed = Make (Mdst_core.Proto.Suppressed) (struct
-  let params = Model.suppressed
-end)
+module Suppressed = Make (Mdst_core.Proto.Suppressed) (Lockstep.Suppressed_params)

@@ -23,13 +23,11 @@
     — a one-line reproducer over {!Mdst_model.Model.event_to_string}
     vocabulary.
 
-    For graphs beyond exhaustive reach, {!S.walk} drives the engine's
-    {!Mdst_sim.Engine.Make.step_with} schedule-control hook with a seeded
-    random chooser, replaying each chosen event on the model in lockstep —
-    random deep walks where the DFS does bounded-depth exhaustion. *)
+    For graphs beyond exhaustive reach, {!S.walk} runs the {!Lockstep}
+    driver under a seeded uniform chooser — random deep walks where the
+    DFS does bounded-depth exhaustion. *)
 
 module Graph = Mdst_graph.Graph
-module Model = Mdst_model.Model
 
 type init =
   [ `Clean  (** every node boots via the automaton's [init] *)
@@ -86,16 +84,9 @@ module type S = sig
     init:[ `Clean | `Random ] ->
     Graph.t ->
     (int, string) result
-  (** Random-schedule lockstep walk via the engine's [step_with]: [Ok
-      steps] or [Error detail] on the first divergence.  Default
-      [steps = 500]. *)
+  (** Random-schedule {!Lockstep} walk: [Ok steps] or [Error detail] on
+      the first divergence.  Default [steps = 500]. *)
 end
-
-module Make (A : Mdst_sim.Node.AUTOMATON
-               with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (_ : sig
-  val params : Model.params
-end) : S
 
 module Default : S
 

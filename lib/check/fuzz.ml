@@ -4,11 +4,10 @@
    replayed through the engine's [step_with] hook.  Three oracles share
    the entry format:
 
-   - lockstep: real automaton vs the pure reference model, event by
-     event, plus the legitimacy-closure premise;
-   - adversity: fuzzed prefix under an installed fault plan, then run to
-     convergence under the same stop predicate, closure window and
-     degree bound as the Convergence harness;
+   - lockstep: the Lockstep driver (real automaton vs the pure reference
+     model, event by event, plus the legitimacy-closure premise);
+   - adversity: the Convergence harness under an installed fault plan,
+     with the fuzzed schedule as its prefix;
    - decoupling: twin engines whose [corrupt] pulses differ only in the
      [channels] flag must corrupt the same victims to the same states.
 
@@ -17,18 +16,14 @@
    riding the Mutation plumbing. *)
 
 module Graph = Mdst_graph.Graph
-module Tree = Mdst_graph.Tree
 module Model = Mdst_model.Model
 module State = Mdst_core.State
 module Msg = Mdst_core.Msg
 module Projection = Mdst_core.Projection
-module Checker = Mdst_core.Checker
-module Run = Mdst_core.Run
 module Node = Mdst_sim.Node
 module Fault = Mdst_sim.Fault
 module Prng = Mdst_util.Prng
 module Mutation = Mdst_util.Mutation
-module Fr = Mdst_baseline.Fr
 
 type variant = [ `Default | `Suppressed ]
 
@@ -60,31 +55,16 @@ type trophy = { t_kind : trophy_kind; t_entry : entry; t_detail : string }
 
 let fail fmt = Printf.ksprintf invalid_arg fmt
 
+let variants = [ ("default", `Default); ("suppressed", `Suppressed) ]
+
+let inits = [ ("clean", `Clean); ("legitimate", `Legitimate); ("random", `Random) ]
+
 let entry_to_string (e : entry) =
-  let g = e.config.graph in
-  let n = Graph.n g in
-  let ids = List.init n (Graph.id g) in
-  let identity = List.for_all2 ( = ) ids (List.init n Fun.id) in
-  let edges =
-    Array.to_list (Graph.edges g)
-    |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-    |> String.concat ","
-  in
+  let name x names = fst (List.find (fun (_, y) -> y = x) names) in
   let slen = List.length e.sched in
   String.concat ";"
-    ([
-       "variant="
-       ^ (match e.config.variant with `Default -> "default" | `Suppressed -> "suppressed");
-       "init="
-       ^ (match e.config.init with
-         | `Clean -> "clean"
-         | `Legitimate -> "legitimate"
-         | `Random -> "random");
-       Printf.sprintf "n=%d" n;
-     ]
-    @ (if identity then []
-       else [ "ids=" ^ String.concat "," (List.map string_of_int ids) ])
-    @ [ "edges=" ^ edges; Printf.sprintf "seed=%d" e.config.engine_seed ]
+    ([ "variant=" ^ name e.config.variant variants; "init=" ^ name e.config.init inits ]
+    @ Repro.common e.config.graph ~seed:e.config.engine_seed
     @ (if Fault.is_empty e.config.plan then []
        else [ "plan=" ^ Fault.to_string e.config.plan ])
     @ (if e.config.double_corrupt then [ "dc=1" ] else [])
@@ -92,93 +72,35 @@ let entry_to_string (e : entry) =
     @ if e.sched = [] then [] else [ "sched=" ^ String.concat "," e.sched ])
 
 let entry_of_string s =
-  let variant = ref `Default and init = ref `Clean in
-  let n = ref None and ids = ref None and edges = ref None in
-  let seed = ref 0 and plan = ref Fault.empty and dc = ref false in
-  let steps = ref None and sched = ref [] in
-  List.iter
-    (fun part ->
-      let part = String.trim part in
-      if part = "" then ()
-      else
-        match String.index_opt part '=' with
-        | None -> fail "Fuzz.entry_of_string: bad component %S" part
-        | Some i -> (
-            let key = String.sub part 0 i in
-            let value = String.sub part (i + 1) (String.length part - i - 1) in
-            match key with
-            | "variant" -> (
-                match value with
-                | "default" -> variant := `Default
-                | "suppressed" -> variant := `Suppressed
-                | _ -> fail "Fuzz.entry_of_string: bad variant %S" value)
-            | "init" -> (
-                match value with
-                | "clean" -> init := `Clean
-                | "legitimate" -> init := `Legitimate
-                | "random" -> init := `Random
-                | _ -> fail "Fuzz.entry_of_string: bad init %S" value)
-            | "n" -> n := int_of_string_opt value
-            | "ids" ->
-                ids :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.map (fun v ->
-                           match int_of_string_opt (String.trim v) with
-                           | Some x -> x
-                           | None -> fail "Fuzz.entry_of_string: bad id %S" v))
-            | "seed" -> (
-                match int_of_string_opt value with
-                | Some v -> seed := v
-                | None -> fail "Fuzz.entry_of_string: bad seed %S" value)
-            | "plan" -> (
-                try plan := Fault.of_string value
-                with Invalid_argument m -> fail "Fuzz.entry_of_string: %s" m)
-            | "dc" -> dc := value = "1"
-            | "steps" -> (
-                match int_of_string_opt value with
-                | Some v when v >= 0 -> steps := Some v
-                | _ -> fail "Fuzz.entry_of_string: bad steps %S" value)
-            | "edges" ->
-                edges :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.filter (fun e -> String.trim e <> "")
-                    |> List.map (fun e ->
-                           match String.split_on_char '-' (String.trim e) with
-                           | [ u; v ] -> (int_of_string u, int_of_string v)
-                           | _ -> fail "Fuzz.entry_of_string: bad edge %S" e))
-            | "sched" ->
-                sched :=
-                  String.split_on_char ',' value
-                  |> List.filter (fun t -> String.trim t <> "")
-                  |> List.map (fun t ->
-                         let t = String.trim t in
-                         (try ignore (Model.event_of_string t)
-                          with Failure m -> fail "Fuzz.entry_of_string: %s" m);
-                         t)
-            | _ -> fail "Fuzz.entry_of_string: unknown key %S" key))
-    (String.split_on_char ';' s);
-  match (!n, !edges) with
-  | Some n, Some edges ->
-      let ids = Option.map Array.of_list !ids in
-      let graph = Graph.of_edges ?ids ~n edges in
-      let sched = !sched in
-      let steps = match !steps with Some v -> v | None -> List.length sched in
+  let f =
+    Repro.parse ~what:"Fuzz.entry_of_string"
+      ~keys:[ "variant"; "init"; "plan"; "dc"; "steps"; "sched" ]
+      s
+  in
+  let sched =
+    match Repro.find f "sched" with
+    | None -> []
+    | Some v ->
+        String.split_on_char ',' v |> List.map String.trim
+        |> List.filter (fun t -> t <> "")
+        |> List.map (fun t ->
+               (try ignore (Model.event_of_string t)
+                with Failure _ -> Repro.bad f "sched" t);
+               t)
+  in
+  {
+    config =
       {
-        config =
-          {
-            variant = !variant;
-            init = !init;
-            graph;
-            engine_seed = !seed;
-            plan = !plan;
-            double_corrupt = !dc;
-          };
-        sched;
-        steps;
-      }
-  | _ -> fail "Fuzz.entry_of_string: missing n= or edges="
+        variant = Option.value ~default:`Default (Repro.enum f "variant" variants);
+        init = Option.value ~default:`Clean (Repro.enum f "init" inits);
+        graph = Repro.graph f;
+        engine_seed = Repro.seed f;
+        plan = Repro.plan f;
+        double_corrupt = Repro.find f "dc" = Some "1";
+      };
+    sched;
+    steps = Option.value ~default:(List.length sched) (Repro.nat f "steps");
+  }
 
 (* ---------------- execution ---------------- *)
 
@@ -188,10 +110,11 @@ let entry_of_string s =
    way (the novelty signal), and the failure, if any. *)
 type exec_outcome = {
   x_executed : string list;
-  x_fps : int list;
-  x_coarse : int list;
+  x_fps : (int * int) list;  (* fine and labeling-insensitive *)
   x_fail : (trophy_kind * string) option;
 }
+
+let fingerprints st = (Projection.fingerprint_states st, Projection.fingerprint_coarse st)
 
 let gap_bucket gap =
   if gap <= 4 then 0
@@ -205,286 +128,80 @@ module Exec
       val params : Model.params
     end) =
 struct
-  module R = Run.Runner (A)
-  module E = R.Engine
+  module L = Lockstep.Make (A) (P)
+  module H = Convergence.Harness (A)
+  module E = H.Engine
 
-  let make_engine (cfg : config) =
-    match cfg.init with
-    | `Clean -> E.create ~seed:cfg.engine_seed ~init:`Clean cfg.graph
-    | `Random -> E.create ~seed:cfg.engine_seed ~init:`Random cfg.graph
-    | `Legitimate ->
-        let e = E.create ~seed:cfg.engine_seed ~init:`Clean cfg.graph in
-        Array.iteri (E.set_state e) (Explore.legitimate_states cfg.graph);
-        e
-
-  let matches ev (c : E.choice) =
-    match (ev, c) with
-    | Model.Tick v, E.Choose_tick { node } -> node = v
-    | Model.Deliver { src; dst }, E.Choose_deliver d -> d.src = src && d.dst = dst
-    | _ -> false
-
-  let find_choice ev options =
-    let len = Array.length options in
-    let rec go i =
-      if i >= len then -1 else if matches ev options.(i) then i else go (i + 1)
-    in
-    go 0
-
-  (* The shared chooser.  Strict mode replays [sched.(!i)] exactly and
-     fails closed when it is no longer eligible.  Adaptive mode consumes
-     the schedule as a preference list — the first still-eligible entry
-     from the cursor wins — and falls back to a uniform random choice
-     when the schedule is exhausted or nothing in it is eligible. *)
-  let choose_with ~strict ~rng ~sched ~cursor ~i ~chosen options =
-    let k =
-      if strict then begin
-        let ev = sched.(!i) in
-        let k = find_choice ev options in
-        if k < 0 then
-          failwith
-            (Printf.sprintf
-               "Fuzz.replay: step %d: scheduled event %s is not eligible (tick not \
-                armed, or channel empty or purged)"
-               !i (Model.event_to_string ev));
-        k
-      end
-      else begin
-        let slen = Array.length sched in
-        let rec scan j =
-          if j >= slen then None
-          else
-            let k = find_choice sched.(j) options in
-            if k >= 0 then Some (j, k) else scan (j + 1)
-        in
-        match scan !cursor with
-        | Some (j, k) ->
-            cursor := j + 1;
-            k
-        | None -> Prng.int rng (Array.length options)
-      end
-    in
-    chosen := Some options.(k);
-    k
-
-  let token_of (c : E.choice) =
-    match c with
-    | E.Choose_tick { node } -> Printf.sprintf "t%d" node
-    | E.Choose_deliver { src; dst; _ } -> Printf.sprintf "%d>%d" src dst
+  let engine_init (cfg : config) =
+    match cfg.init with `Random -> `Random | `Clean | `Legitimate -> `Clean
 
   (* Lockstep mode: every executed event is mirrored on the reference
-     model; states (all fields), delivered heads and — at the end — the
-     whole in-flight content must agree.  The closure premise is
-     re-evaluated every 4th step (it is O(n + m + in-flight) and most
-     steps cannot newly establish it); only fewer violations can be
-     reported by the throttling, never spurious ones, because a breach is
-     only flagged when the premise provably held before the step. *)
-  let run_lockstep ~strict ~rng (cfg : config) sched ~total =
-    let engine = make_engine cfg in
-    let g = cfg.graph in
-    let n = Graph.n g in
-    let model =
-      ref
-        (Model.make ~params:P.params ~states:(E.states engine)
-           ~in_flight:(E.in_flight engine) g)
+     model, with the closure premise armed. *)
+  let run_lockstep ~pick (cfg : config) ~total =
+    let states =
+      match cfg.init with
+      | `Legitimate -> Some (Explore.legitimate_states cfg.graph)
+      | `Clean | `Random -> None
     in
-    let executed = ref [] and fps = ref [] and coarse = ref [] in
-    let failure = ref None in
-    let cursor = ref 0 and prem_prev = ref false in
-    let i = ref 0 in
-    while !i < total && !failure = None do
-      let chosen = ref None in
-      let choose = choose_with ~strict ~rng ~sched ~cursor ~i ~chosen in
-      let progressed = E.step_with engine ~choose in
-      (match (!chosen, progressed) with
-      | None, _ | _, false -> i := total
-      | Some c, true ->
-          let ev =
-            match c with
-            | E.Choose_tick { node } -> Model.Tick node
-            | E.Choose_deliver { src; dst; _ } -> Model.Deliver { src; dst }
-          in
-          executed := Model.event_to_string ev :: !executed;
-          let head_ok =
-            match c with
-            | E.Choose_tick _ -> true
-            | E.Choose_deliver { src; dst; label } -> (
-                match Model.peek !model ~src ~dst with
-                | None ->
-                    failure :=
-                      Some
-                        ( Divergence,
-                          Printf.sprintf
-                            "channel %d->%d: engine delivered %s but the model \
-                             channel is empty"
-                            src dst label );
-                    false
-                | Some m when Msg.label m <> label ->
-                    failure :=
-                      Some
-                        ( Divergence,
-                          Printf.sprintf
-                            "channel %d->%d: engine delivered %s, model head is %s"
-                            src dst label (Msg.label m) );
-                    false
-                | Some _ -> true)
-          in
-          if head_ok then begin
-            model := Model.step !model ev;
-            let st = E.states engine and mst = (!model).Model.nodes in
-            if st <> mst then begin
-              let detail =
-                match Projection.diff (Projection.of_states mst) (Projection.of_states st) with
-                | (idx, what) :: _ ->
-                    Printf.sprintf "after %s: node %d %s (model vs engine)"
-                      (Model.event_to_string ev) idx what
-                | [] ->
-                    let idx = ref (-1) in
-                    Array.iteri (fun k s -> if !idx < 0 && s <> mst.(k) then idx := k) st;
-                    Printf.sprintf "after %s: node %d differs in a non-projected field"
-                      (Model.event_to_string ev) !idx
-              in
-              failure := Some (Divergence, detail)
-            end
-            else begin
-              fps := Projection.fingerprint_states st :: !fps;
-              coarse := Projection.fingerprint_coarse st :: !coarse;
-              let legit = Checker.legitimate g mst in
-              if !prem_prev && not legit then
-                failure :=
-                  Some
-                    ( Closure,
-                      Printf.sprintf
-                        "after %s: a configuration satisfying the closure premise \
-                         stepped to an illegitimate one"
-                        (Model.event_to_string ev) )
-              else
-                prem_prev :=
-                  legit && !i land 3 = 0
-                  && Explore.premise g mst (!model).Model.channels
-            end
-          end);
-      incr i
-    done;
-    (if !failure = None then begin
-       let chans = Array.make (n * n) [] in
-       List.iter
-         (fun (src, dst, m) -> chans.((src * n) + dst) <- m :: chans.((src * n) + dst))
-         (E.in_flight engine);
-       Array.iteri (fun idx l -> chans.(idx) <- List.rev l) chans;
-       let mchans = (!model).Model.channels in
-       let idx = ref (-1) in
-       Array.iteri (fun k l -> if !idx < 0 && l <> mchans.(k) then idx := k) chans;
-       if !idx >= 0 then
-         failure :=
-           Some
-             ( Divergence,
-               Printf.sprintf "final in-flight mismatch on channel %d->%d" (!idx / n)
-                 (!idx mod n) )
-     end);
+    let fps = ref [] in
+    let r =
+      L.run ?states ~premise:Explore.premise
+        ~observe:(fun st -> fps := fingerprints st :: !fps)
+        ~seed:cfg.engine_seed ~init:(engine_init cfg) ~events:total (Lockstep.Pick pick)
+        cfg.graph
+    in
     {
-      x_executed = List.rev !executed;
+      x_executed = List.map Model.event_to_string r.Lockstep.executed;
       x_fps = !fps;
-      x_coarse = !coarse;
-      x_fail = !failure;
+      x_fail =
+        Option.map
+          (fun (f : Lockstep.failure) ->
+            ( (match f.Lockstep.kind with
+              | Lockstep.Divergence -> Divergence
+              | Lockstep.Closure -> Closure),
+              Lockstep.describe f ))
+          r.Lockstep.failure;
     }
 
-  (* Adversity mode: fuzzed prefix under the installed plan, then run to
-     convergence with the same stop predicate, closure window and degree
-     bound as the Convergence harness (including its stop-check-race
-     mutant hook — a mutant that stops while tampered messages are in
-     flight is then convicted by the closure window). *)
-  let run_adversity ~strict ~rng (cfg : config) sched ~total =
-    let engine = make_engine cfg in
-    E.install_faults engine ~remap:Mdst_core.Transplant.states cfg.plan;
-    let executed = ref [] and fps = ref [] and coarse = ref [] in
-    let failure = ref None in
-    let cursor = ref 0 in
-    let i = ref 0 in
-    while !i < total do
-      let chosen = ref None in
-      let choose = choose_with ~strict ~rng ~sched ~cursor ~i ~chosen in
-      let progressed = E.step_with engine ~choose in
-      (match (!chosen, progressed) with
-      | None, _ | _, false -> i := total
-      | Some c, true ->
-          executed := token_of c :: !executed;
-          if !i land 3 = 0 then begin
-            fps := Projection.fingerprint_states (E.states engine) :: !fps;
-            coarse := Projection.fingerprint_coarse (E.states engine) :: !coarse
-          end);
-      incr i
-    done;
-    let n = Graph.n cfg.graph in
-    let last_fault = Fault.last_fault_round cfg.plan in
-    let base_stop = R.make_stop ~fixpoint:(fun tree -> not (Fr.improvable tree)) () in
-    let stop e =
-      base_stop e
-      && E.rounds e > last_fault
-      && (Mutation.enabled "stop-check-race" || not (E.faults_pending e))
+  (* Adversity mode: the Convergence harness under the installed plan,
+     with the fuzzed schedule as its prefix (fingerprints sampled every
+     4th event). *)
+  let run_adversity ~pick (cfg : config) ~total =
+    let executed = ref [] and fps = ref [] in
+    let prefix engine =
+      if cfg.init = `Legitimate then
+        Array.iteri (E.set_state engine) (Explore.legitimate_states cfg.graph);
+      let i = ref 0 in
+      let choose options =
+        let evs =
+          Array.map
+            (function
+              | E.Choose_tick { node } -> Model.Tick node
+              | E.Choose_deliver { src; dst; _ } -> Model.Deliver { src; dst })
+            options
+        in
+        let k = pick evs in
+        executed := Model.event_to_string evs.(k) :: !executed;
+        k
+      in
+      while !i < total && E.step_with engine ~choose do
+        if !i land 3 = 0 then fps := fingerprints (E.states engine) :: !fps;
+        incr i
+      done
     in
-    let max_rounds = last_fault + 4000 + (250 * n) in
-    let outcome = E.run engine ~max_rounds ~check_every:2 ~stop () in
+    let r =
+      H.run_case ~init:(engine_init cfg) ~prefix
+        { Convergence.graph = cfg.graph; plan = cfg.plan; seed = cfg.engine_seed }
+    in
     Mutation.probe
-      (Printf.sprintf "fuzz:adv-gap-%d" (gap_bucket (outcome.E.rounds - last_fault)));
-    Mutation.probe_n "fuzz:adv-faults" (Fault.total (E.fault_stats engine));
-    if not outcome.E.converged then
-      failure :=
-        Some
-          ( Adversity,
-            Printf.sprintf
-              "no convergence within %d rounds (last fault at round %d, %d faults \
-               applied)"
-              max_rounds last_fault
-              (Fault.total (E.fault_stats engine)) )
-    else if E.faults_pending engine then
-      (* The stop predicate must not declare victory while tampered
-         messages are in flight or scheduled faults are outstanding — a
-         sound stop waits for [not (faults_pending e)], so this can only
-         fire when the stop check races the adversary. *)
-      failure :=
-        Some
-          ( Adversity,
-            Printf.sprintf
-              "convergence declared at round %d with adversarial work still \
-               outstanding (tampered message in flight or scheduled fault pending)"
-              outcome.E.rounds )
-    else begin
-      Mutation.probe "fuzz:adv-converged";
-      (* Closure window: after declared convergence the fingerprint must
-         hold still and the configuration stay legitimate. *)
-      let fp0 = Checker.fingerprint (E.states engine) in
-      let r0 = E.rounds engine in
-      ignore (E.run engine ~max_rounds:(r0 + 80) ~check_every:4 ~stop:(fun _ -> false) ());
-      let g_now = E.graph engine in
-      let fp1 = Checker.fingerprint (E.states engine) in
-      let legit = Checker.legitimate g_now (E.states engine) in
-      if fp0 <> fp1 || not legit then
-        failure :=
-          Some
-            ( Adversity,
-              Printf.sprintf
-                "closure breach after declared convergence at round %d (fingerprint \
-                 %s, %s)"
-                r0
-                (if fp0 <> fp1 then "moved" else "stable")
-                (if legit then "legitimate" else "illegitimate") )
-      else
-        match Checker.tree_degree_now g_now (E.states engine) with
-        | None -> failure := Some (Adversity, "converged but no tree extractable")
-        | Some d ->
-            let bound = Tree.max_degree (Fr.approx_mdst g_now) + 1 in
-            if d > bound then
-              failure :=
-                Some
-                  ( Adversity,
-                    Printf.sprintf "final degree %d exceeds FR-degree + 1 = %d" d bound
-                  )
-    end;
+      (Printf.sprintf "fuzz:adv-gap-%d" (gap_bucket (r.rounds - r.last_fault_round)));
+    Mutation.probe_n "fuzz:adv-faults" (Fault.total r.stats);
+    if r.converged && not r.outstanding then Mutation.probe "fuzz:adv-converged";
     {
       x_executed = List.rev !executed;
       x_fps = !fps;
-      x_coarse = !coarse;
-      x_fail = !failure;
+      x_fail =
+        (match Convergence.verdict r with Ok () -> None | Error d -> Some (Adversity, d));
     }
 
   (* Decoupling mode: twin engines, same seed; each corrupt pulse flips
@@ -492,13 +209,13 @@ struct
      come from split streams, so the states must agree either way — a
      mutant that draws from the engine stream couples them. *)
   let run_decoupling (cfg : config) =
-    let init = match cfg.init with `Random -> `Random | `Clean | `Legitimate -> `Clean in
+    let init = engine_init cfg in
     let e1 = E.create ~seed:cfg.engine_seed ~init cfg.graph in
     let e2 = E.create ~seed:cfg.engine_seed ~init cfg.graph in
     let rng = Prng.create (cfg.engine_seed lxor 0x7a3d) in
     let pulses = 2 + Prng.int rng 3 in
     let failure = ref None in
-    let fps = ref [] and coarse = ref [] in
+    let fps = ref [] in
     let p = ref 0 in
     while !p < pulses && !failure = None do
       let fraction = 0.25 +. Prng.float rng 0.75 in
@@ -514,14 +231,14 @@ struct
                 "corrupt pulse %d (fraction %.2f): victim states depend on the \
                  channels flag"
                 !p fraction )
-      else begin
-        fps := Projection.fingerprint_states (E.states e1) :: !fps;
-        coarse := Projection.fingerprint_coarse (E.states e1) :: !coarse
-      end;
+      else fps := fingerprints (E.states e1) :: !fps;
       incr p
     done;
-    { x_executed = []; x_fps = !fps; x_coarse = !coarse; x_fail = !failure }
+    { x_executed = []; x_fps = !fps; x_fail = !failure }
 
+  (* Strict mode replays the schedule exactly and fails closed when a
+     step is no longer eligible; adaptive mode consumes it as a
+     preference list and falls back to a uniform random choice. *)
   let execute_entry ~strict ~rng (e : entry) =
     let cfg = e.config in
     if cfg.double_corrupt then run_decoupling cfg
@@ -531,37 +248,21 @@ struct
       let n = Graph.n cfg.graph in
       let adversity = not (Fault.is_empty cfg.plan) in
       let default_total = if adversity then (8 * n) + 64 else (48 * n) + 128 in
+      if strict && slen = 0 then failwith "Fuzz.replay: empty schedule — nothing to replay";
+      (* Strict steps past [slen] make {!Lockstep.strict} fail closed. *)
       let total =
-        if strict then begin
-          if slen = 0 then failwith "Fuzz.replay: empty schedule — nothing to replay";
-          if e.steps > slen then
-            failwith
-              (Printf.sprintf
-                 "Fuzz.replay: schedule exhausted: steps=%d but only %d events \
-                  recorded (adaptive fallback is disabled in replay)"
-                 e.steps slen);
-          slen
-        end
+        if strict then max slen e.steps
         else max slen (if e.steps > 0 then e.steps else default_total)
       in
-      if adversity then run_adversity ~strict ~rng cfg sched ~total
-      else run_lockstep ~strict ~rng cfg sched ~total
+      let pick =
+        if strict then Lockstep.strict sched else Lockstep.prefer ~fallback:rng sched
+      in
+      if adversity then run_adversity ~pick cfg ~total else run_lockstep ~pick cfg ~total
     end
 end
 
-module Exec_default =
-  Exec
-    (Mdst_core.Proto.Default)
-    (struct
-      let params = Model.default
-    end)
-
-module Exec_suppressed =
-  Exec
-    (Mdst_core.Proto.Suppressed)
-    (struct
-      let params = Model.suppressed
-    end)
+module Exec_default = Exec (Mdst_core.Proto.Default) (Lockstep.Default_params)
+module Exec_suppressed = Exec (Mdst_core.Proto.Suppressed) (Lockstep.Suppressed_params)
 
 let execute ~strict ~rng (e : entry) =
   match e.config.variant with
@@ -1105,13 +806,13 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
     let e = next_entry () in
     incr execs;
     let erng = Prng.split rng in
-    let (x_fail, executed, fps, coarse), census =
+    let (x_fail, executed, fps), census =
       try
         let out, census =
           Mutation.with_coverage (fun () -> execute ~strict:false ~rng:erng e)
         in
-        ((out.x_fail, out.x_executed, out.x_fps, out.x_coarse), census)
-      with exn -> ((Some (Crash, Printexc.to_string exn), [], [], []), [])
+        ((out.x_fail, out.x_executed, out.x_fps), census)
+      with exn -> ((Some (Crash, Printexc.to_string exn), [], []), [])
     in
     let interesting = ref false in
     let note tbl k =
@@ -1120,8 +821,11 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
         interesting := true
       end
     in
-    List.iter (note fine) fps;
-    List.iter (note coarse_seen) coarse;
+    List.iter
+      (fun (f, c) ->
+        note fine f;
+        note coarse_seen c)
+      fps;
     List.iter (fun (p, hits) -> note buckets (p, bucketize hits)) census;
     (match x_fail with
     | Some (k, d) ->

@@ -4,40 +4,37 @@
     tiny instances and the PBT layer samples uniform random schedules;
     neither seeks out the rare interleavings where self-stabilization
     proofs actually bite.  The fuzzer closes that gap greybox-style: it
-    replays {e delivery schedules} through the engine's
-    {!Mdst_sim.Engine.Make.step_with} hook, runs the real automaton in
-    lockstep with the {!Mdst_model} reference, and keeps a corpus of
-    schedules ranked by novelty — new projection fingerprints
-    ({!Mdst_core.Projection.fingerprint_states} plus the
-    labeling-insensitive {!Mdst_core.Projection.fingerprint_coarse}) and
-    new handler-branch hit buckets (the [proto:*] probes riding the
-    {!Mdst_util.Mutation} plumbing).  Interesting executions are mutated
-    (swap / delay / duplicate-position / chunk-drop / crossover / tail
-    extension) and fed back.
+    feeds {e delivery schedules} to the {!Lockstep} driver as preference
+    lists and keeps a corpus of schedules ranked by novelty — new
+    projection fingerprints ({!Mdst_core.Projection.fingerprint_states}
+    plus the labeling-insensitive
+    {!Mdst_core.Projection.fingerprint_coarse}) and new handler-branch hit
+    buckets (the [proto:*] probes riding the {!Mdst_util.Mutation}
+    plumbing).  Interesting executions are mutated (swap / delay /
+    duplicate-position / chunk-drop / crossover / tail extension) and fed
+    back.
 
     {2 Swarm configurations}
 
     Every corpus entry carries its own configuration: protocol variant
     (Default / Suppressed), initial distribution (clean / legitimate /
-    random), an optional {!Mdst_sim.Fault.plan} (adversity mode: fuzzed
-    prefix, then run to convergence under the same stop predicate and
-    closure checks as {!Convergence}), and a stream-decoupling toggle
-    (twin engines replaying {!Mdst_sim.Engine.Make.corrupt} pulses that
-    must agree regardless of the [channels] flag).
+    random), an optional {!Mdst_sim.Fault.plan} (adversity mode: the
+    {!Convergence} harness with the fuzzed schedule as its prefix), and a
+    stream-decoupling toggle (twin engines replaying
+    {!Mdst_sim.Engine.Make.corrupt} pulses that must agree regardless of
+    the [channels] flag).
 
     {2 Oracles and trophies}
 
-    A failing execution is a {b trophy}: lockstep divergence (state or
-    channel-head mismatch against the model, including the final
-    in-flight comparison), legitimacy-closure violation (a configuration
-    satisfying {!Explore.premise} stepped to an illegitimate one),
-    adversity failure (no convergence in budget, degree bound broken, or
-    post-convergence closure breach), stream decoupling, or an exception.
-    Trophies are greedily shrunk ({!shrink_trophy}) and printed as
-    one-line reproducers ({!entry_to_string}) that {!replay} re-executes
-    {e strictly} — a replayed schedule step that is no longer eligible
-    (tick not armed, channel empty or purged) fails closed with a clear
-    error instead of silently falling back to default order. *)
+    A failing execution is a {b trophy}: lockstep divergence, closure
+    violation (both from {!Lockstep}, with {!Explore.premise} as the
+    closure premise), adversity failure ({!Convergence.verdict}), stream
+    decoupling, or an exception.  Trophies are greedily shrunk
+    ({!shrink_trophy}) and printed as one-line reproducers
+    ({!entry_to_string}) that {!replay} re-executes {e strictly} — a
+    replayed schedule step that is no longer eligible (tick not armed,
+    channel empty or purged) fails closed with a clear error instead of
+    silently falling back to default order. *)
 
 type variant = [ `Default | `Suppressed ]
 
@@ -83,7 +80,7 @@ val replay : entry -> (unit, trophy_kind * string) result
     oracle armed.  [Ok ()] for a clean run, [Error (kind, detail)] when
     the failure reproduces.
     @raise Failure when the schedule cannot be replayed as recorded: it
-    is empty, [steps] exceeds its length (the adaptive fallback is
+    is empty, it runs out before [steps] events (the adaptive fallback is
     disabled in replay), or a step is not eligible — e.g. it references
     a channel that is empty or was purged. *)
 

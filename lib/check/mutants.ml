@@ -17,13 +17,10 @@ let conformance_sweep (module C : Conformance.S) fixtures =
           (Printf.sprintf "lockstep conformance held across %d fixtures"
              (List.length fixtures))
     | f :: rest -> (
-        let report = C.run_case (Conformance.case_of_string f) in
-        match report.Conformance.divergence with
+        match (C.run_case (Conformance.case_of_string f)).Lockstep.failure with
         | Some d ->
             Detected
-              (Printf.sprintf "divergence at event %d (%s): %s  [%s]"
-                 d.Conformance.index d.Conformance.event d.Conformance.detail
-                 f)
+              (Printf.sprintf "divergence at %s  [%s]" (Lockstep.describe d) f)
         | None -> go rest)
   in
   go fixtures

@@ -1,30 +1,8 @@
-(* Conformance for the sharded parallel engine.  Two statements:
-
-   1. Sharded-schedule conformance ([run_case]): record the merged
-      (time, shard, seq) schedule of a k-shard run, then
-        (a) replay it through the pure reference model starting from the
-            same initial configuration — every Deliver must hit a
-            non-empty channel whose head is the delivered message
-            (per-channel FIFO survived the sharding), and the final model
-            states must equal the parallel engine's; and
-        (b) replay it through the *sequential* engine via
-            [Engine.step_with] — every recorded event must be eligible
-            (armed tick / channel FIFO head), i.e. the merged order is a
-            schedule the sequential engine accepts, and the final states
-            must again match exactly.  The two engines share handler code
-            and per-node protocol streams, so (b) holds iff the sharding
-            changed nothing about *what* executed, only *where*.
-
-   2. Fingerprint equivalence ([fingerprint_equivalence]): converge the
-      same (seed, init) under several shard counts and compare the
-      quiescence fingerprints.  The parallel engine's timestamps are
-      k-independent by construction, so the executed schedules are
-      equivalent and the stabilized configurations must agree bit for
-      bit. *)
+(* Conformance for the sharded parallel engine.  See parcheck.mli for the
+   two statements. *)
 
 module Graph = Mdst_graph.Graph
 module Model = Mdst_model.Model
-module State = Mdst_core.State
 module Checker = Mdst_core.Checker
 
 type case = {
@@ -49,85 +27,38 @@ module Make (A : Mdst_sim.Node.AUTOMATON
 end) =
 struct
   module PE = Mdst_sim.Pengine.Make (A)
-  module E = Mdst_sim.Engine.Make (A)
+  module L = Lockstep.Make (A) (P)
   module R = Mdst_core.Run.Runner (A)
 
-  exception Fail of string
-
-  let failf fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
-
-  let first_state_mismatch (a : State.t array) (b : State.t array) =
-    let rec go v =
-      if v >= Array.length a then -1 else if a.(v) <> b.(v) then v else go (v + 1)
-    in
-    go 0
-
-  let replay_model case ~init_states ~init_inflight ~sched ~final =
-    let model =
-      ref (Model.make ~params:P.params ~states:init_states ~in_flight:init_inflight case.graph)
-    in
-    Array.iteri
-      (fun i (_, ev) ->
-        let event =
-          match (ev : PE.sched_event) with
-          | PE.Sched_tick { node } -> Model.Tick node
-          | PE.Sched_deliver { src; dst } -> Model.Deliver { src; dst }
-        in
-        match Model.step !model event with
-        | m -> model := m
-        | exception Invalid_argument msg ->
-            failf "model rejected event %d/%d (%s): %s" (i + 1) (Array.length sched)
-              (Model.event_to_string event) msg)
-      sched;
-    let v = first_state_mismatch final !model.Model.nodes in
-    if v >= 0 then
-      failf "model final state differs at node %d after %d events" v (Array.length sched)
-
-  let replay_sequential case ~sched ~final =
-    let init = (case.init :> E.init) in
-    let engine = E.create ~seed:case.seed ~init case.graph in
-    Array.iteri
-      (fun i (_, ev) ->
-        let matches (o : E.choice) =
-          match ((ev : PE.sched_event), o) with
-          | PE.Sched_tick { node }, E.Choose_tick t -> t.node = node
-          | PE.Sched_deliver { src; dst }, E.Choose_deliver d -> d.src = src && d.dst = dst
-          | _ -> false
-        in
-        let choose options =
-          let rec find j =
-            if j >= Array.length options then
-              failf "sequential engine rejected event %d/%d: not eligible" (i + 1)
-                (Array.length sched)
-            else if matches options.(j) then j
-            else find (j + 1)
-          in
-          find 0
-        in
-        if not (E.step_with engine ~choose) then
-          failf "sequential engine ran dry at event %d/%d" (i + 1) (Array.length sched))
-      sched;
-    let v = first_state_mismatch final (E.states engine) in
-    if v >= 0 then
-      failf "sequential replay final state differs at node %d after %d events" v
-        (Array.length sched)
+  let replay ~seed ~init ~final sched graph =
+    let events = Array.length sched in
+    match L.run ~seed ~init ~events (Lockstep.Pick (Lockstep.strict sched)) graph with
+    | exception Failure why -> Some ("sequential engine rejected the schedule: " ^ why)
+    | { Lockstep.failure = Some f; _ } -> Some ("model divergence at " ^ Lockstep.describe f)
+    | { Lockstep.states; _ } ->
+        Array.find_index Fun.id (Array.map2 ( <> ) final states)
+        |> Option.map (fun v ->
+               Printf.sprintf
+                 "sequential replay final state differs at node %d after %d events" v events)
 
   let run_case case =
-    let init = (case.init :> PE.init) in
-    let pe = PE.create ~seed:case.seed ~init ~record:true ~domains:case.domains case.graph in
-    let init_states = Array.copy (PE.states pe) in
-    let init_inflight = PE.in_flight pe in
-    PE.run_window pe ~until:case.until;
-    let sched = PE.schedule pe in
-    let final = Array.copy (PE.states pe) in
-    let failure =
-      try
-        replay_model case ~init_states ~init_inflight ~sched ~final;
-        replay_sequential case ~sched ~final;
-        None
-      with Fail s -> Some s
+    let pe =
+      PE.create ~seed:case.seed ~init:(case.init :> PE.init) ~record:true
+        ~domains:case.domains case.graph
     in
-    { events = Array.length sched; failure }
+    PE.run_window pe ~until:case.until;
+    let sched =
+      Array.map
+        (fun (_, (ev : PE.sched_event)) ->
+          match ev with
+          | PE.Sched_tick { node } -> Model.Tick node
+          | PE.Sched_deliver { src; dst } -> Model.Deliver { src; dst })
+        (PE.schedule pe)
+    in
+    {
+      events = Array.length sched;
+      failure = replay ~seed:case.seed ~init:case.init ~final:(PE.states pe) sched case.graph;
+    }
 
   let fingerprint_equivalence ?quiet_rounds ?(max_rounds = 60_000) ?window ~seed ~init
       ~domains graph =
@@ -148,6 +79,4 @@ struct
     { per_domain; agree }
 end
 
-module Default = Make (Mdst_core.Proto.Default) (struct
-  let params = Model.default
-end)
+module Default = Make (Mdst_core.Proto.Default) (Lockstep.Default_params)

@@ -1,15 +1,17 @@
 (** Conformance checks for the sharded parallel engine ({!Mdst_sim.Pengine}).
 
     [run_case] records the merged [(time, shard, seq)] schedule of a
-    k-shard run and replays it twice: through the pure reference model
-    (FIFO feasibility + final-state equality, as in {!Conformance}) and
-    through the sequential engine's [step_with] (every recorded event must
-    be eligible, and the final states must match exactly — the two engines
+    k-shard run and replays it strictly through the sequential engine in
+    {!Lockstep} with the pure reference model: every recorded event must
+    be eligible, engine and model must agree after every event, and the
+    final states must equal the sharded run's exactly — the two engines
     share handler code and per-node protocol streams, so acceptance means
-    the sharding changed nothing about what executed).
+    the sharding changed nothing about what executed.
 
     [fingerprint_equivalence] converges one (seed, init) under several
-    shard counts and requires identical quiescence fingerprints — the
+    shard counts and requires identical quiescence fingerprints: the
+    sharded engine's timestamps do not depend on the shard count, so the
+    stabilized configurations must agree bit for bit.  This is the
     standing cross-validation behind the [pardet] CLI command and the CI
     multi-domain smoke job. *)
 
@@ -38,19 +40,16 @@ module Make (A : Mdst_sim.Node.AUTOMATON
 end) : sig
   val run_case : case -> report
 
-  val fingerprint_equivalence :
-    ?quiet_rounds:int ->
-    ?max_rounds:int ->
-    ?window:float ->
+  val replay :
     seed:int ->
     init:[ `Clean | `Random ] ->
-    domains:int list ->
+    final:Mdst_core.State.t array ->
+    Mdst_model.Model.event array ->
     Mdst_graph.Graph.t ->
-    equiv
-end
-
-module Default : sig
-  val run_case : case -> report
+    string option
+  (** The replay behind [run_case]: the schedule, strictly, through the
+      sequential engine in {!Lockstep} with the model, after which the
+      engine's final states must equal [final].  [None] = conformant. *)
 
   val fingerprint_equivalence :
     ?quiet_rounds:int ->
@@ -62,3 +61,5 @@ module Default : sig
     Mdst_graph.Graph.t ->
     equiv
 end
+
+module Default : module type of Make (Mdst_core.Proto.Default) (Lockstep.Default_params)

@@ -61,12 +61,7 @@ module R = Run.Runner (Spy)
 
 type case = { graph : Graph.t; seed : int }
 
-let case_to_string c =
-  Printf.sprintf "n=%d;edges=%s;seed=%d" (Graph.n c.graph)
-    (Array.to_list (Graph.edges c.graph)
-    |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-    |> String.concat ",")
-    c.seed
+let case_to_string c = String.concat ";" (Repro.common c.graph ~seed:c.seed)
 
 let gen_case ?min_n ?max_n () rng =
   {

@@ -17,6 +17,7 @@
 type case = { graph : Mdst_graph.Graph.t; seed : int }
 
 val case_to_string : case -> string
+(** The common {!Repro} keys: [n=..;ids=..;edges=..;seed=..]. *)
 
 val gen_case : ?min_n:int -> ?max_n:int -> unit -> case Gen.t
 

@@ -48,3 +48,6 @@ val remove_vertex : Mdst_graph.Graph.t -> int -> Mdst_graph.Graph.t option
 (** [remove_vertex g v] — [g] minus vertex [v] (dense renumbering, ids
     kept), or [None] if the result would be disconnected or smaller than 2
     nodes.  Exposed for joint graph + plan shrinking. *)
+
+val remove_edge : Mdst_graph.Graph.t -> int * int -> Mdst_graph.Graph.t
+(** [g] minus one edge, ids kept; connectivity is the caller's concern. *)

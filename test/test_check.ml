@@ -12,6 +12,20 @@ module Suites = Mdst_check.Suites
 
 let check = Alcotest.(check bool)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* [parse s] must raise [Invalid_argument] with a message naming [key]
+   and the offending [value] — the shared reproducer codec's contract. *)
+let rejects_naming parse s ~key ~value =
+  match parse s with
+  | _ -> Alcotest.failf "accepted %S" s
+  | exception Invalid_argument msg ->
+      if not (contains msg key && contains msg value) then
+        Alcotest.failf "message %S does not name %s=%s" msg key value
+
 (* ---------------- driver ---------------- *)
 
 let test_passing_property () =
@@ -187,7 +201,9 @@ let test_case_rejects_malformed () =
   check "empty" true (rejects "");
   check "missing edges" true (rejects "n=4;seed=1;plan=seed=0");
   check "bad edge" true (rejects "n=4;edges=0~1;seed=1;plan=seed=0");
-  check "unknown key" true (rejects "n=4;edges=0-1;wat=1")
+  check "unknown key" true (rejects "n=4;edges=0-1;wat=1");
+  rejects_naming C.case_of_string "n=3;edges=0-x,1-2;seed=1" ~key:"edges" ~value:"0-x";
+  rejects_naming C.case_of_string "n=abc;edges=0-1,1-2;seed=1" ~key:"n" ~value:"abc"
 
 (* ---------------- protocol properties ---------------- *)
 
@@ -241,6 +257,8 @@ let test_conformance_format () =
   check "empty" true (rejects "");
   check "bad init" true (rejects "n=3;edges=0-1,1-2;seed=1;init=wat;events=5");
   check "bad events" true (rejects "n=3;edges=0-1,1-2;seed=1;init=clean;events=-2");
+  rejects_naming Cf.case_of_string "n=3;edges=0-x,1-2;seed=1" ~key:"edges" ~value:"0-x";
+  rejects_naming Cf.case_of_string "n=abc;edges=0-1,1-2;seed=1" ~key:"n" ~value:"abc";
   (* omitted events falls back to the documented default *)
   Alcotest.(check int) "events default" 100
     (Cf.case_of_string "n=3;edges=0-1,1-2;seed=1;init=clean").Cf.events
@@ -254,12 +272,68 @@ let test_conformance_lockstep () =
       "n=5;edges=0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4;seed=3;init=random;events=1500"
   in
   let r = Cf.Default.run_case case in
-  Alcotest.(check int) "all events ran" 1500 r.Cf.events_run;
-  match r.Cf.divergence with
+  Alcotest.(check int) "all events ran" 1500 r.Mdst_check.Lockstep.events_run;
+  match r.Mdst_check.Lockstep.failure with
   | None -> ()
-  | Some d ->
-      Alcotest.failf "divergence at event %d (%s): %s" d.Cf.index d.Cf.event
-        d.Cf.detail
+  | Some d -> Alcotest.failf "divergence at %s" (Mdst_check.Lockstep.describe d)
+
+(* The choosers agree: one fixture through Conformance in the engine's
+   order, then the schedule it executed replayed strictly through the
+   fuzzer's and Parcheck's paths.  All three must be clean, or all three
+   must diverge at the same event; a clean Parcheck replay must also end
+   in Conformance's final states. *)
+let choosers_agree ~variant ~expect line =
+  let module Cf = Mdst_check.Conformance in
+  let module L = Mdst_check.Lockstep in
+  let module Fuzz = Mdst_check.Fuzz in
+  let module P = Mdst_check.Parcheck in
+  let module PS = P.Make (Mdst_core.Proto.Suppressed) (L.Suppressed_params) in
+  let case = Cf.case_of_string line in
+  let run_case, replay =
+    match variant with
+    | `Default -> (Cf.Default.run_case, P.Default.replay)
+    | `Suppressed -> (Cf.Suppressed.run_case, PS.replay)
+  in
+  let r = run_case case in
+  Alcotest.(check (option int)) "engine order" expect
+    (Option.map (fun f -> f.L.index) r.L.failure);
+  let at = Option.map (Printf.sprintf "event %d (") expect in
+  let agrees what = function
+    | None -> Alcotest.(check (option string)) (what ^ " clean") at None
+    | Some detail -> (
+        match at with
+        | None -> Alcotest.failf "%s diverged: %s" what detail
+        | Some at ->
+            if not (contains detail at) then
+              Alcotest.failf "%s diverged elsewhere: %s" what detail)
+  in
+  let sched = List.map Mdst_model.Model.event_to_string r.L.executed in
+  let config =
+    {
+      Fuzz.variant;
+      init = (case.Cf.init :> Fuzz.init);
+      graph = case.Cf.graph;
+      engine_seed = case.Cf.seed;
+      plan = Fault.empty;
+      double_corrupt = false;
+    }
+  in
+  agrees "fuzz replay"
+    (match Fuzz.replay { Fuzz.config; sched; steps = List.length sched } with
+    | Ok () -> None
+    | Error (_, detail) -> Some detail);
+  agrees "parcheck replay"
+    (replay ~seed:case.Cf.seed ~init:case.Cf.init ~final:r.L.states
+       (Array.of_list r.L.executed) case.Cf.graph)
+
+let test_choosers_agree () =
+  choosers_agree ~variant:`Default ~expect:None
+    "n=5;edges=0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4;seed=3;init=random;events=600";
+  let module Mutation = Mdst_util.Mutation in
+  Fun.protect ~finally:(fun () -> Mutation.force None) @@ fun () ->
+  Mutation.force (Some [ "suppression-no-refresh" ]);
+  choosers_agree ~variant:`Suppressed ~expect:(Some 61)
+    "n=3;edges=0-1,1-2;seed=5;init=clean;events=400"
 
 let test_explore_smoke () =
   let module X = Mdst_check.Explore in
@@ -379,6 +453,7 @@ let () =
           Alcotest.test_case "case print/parse fixpoint" `Quick test_conformance_format;
           Alcotest.test_case "lockstep on K5 adversarial start" `Quick
             test_conformance_lockstep;
+          Alcotest.test_case "choosers agree" `Quick test_choosers_agree;
         ] );
       ( "explore",
         [

@@ -330,6 +330,10 @@ let matrix =
     ( "grid9 corrupt+reorder",
       "n=9;edges=0-1,1-2,3-4,4-5,6-7,7-8,0-3,3-6,1-4,4-7,2-5,5-8;seed=13;plan=seed=8|corrupt:0-60:4>1:0.75|reorder:0-120:1>4:0.5:6",
       (174, 2, 56, 111) );
+    (* the cut that exposed the stop-check vs scheduled-fault race *)
+    ( "n7 cut race",
+      "n=7;ids=5,1,3,4,0,7,2;edges=0-1,0-5,1-4,2-5,2-6,3-4,4-6;seed=341458;plan=seed=711241|cut:208:2-5",
+      (276, 3, 1, 0) );
   ]
 
 let test_fault_matrix () =
@@ -366,6 +370,14 @@ let test_broken_variant_caught () =
       (match C.Broken.prop ~budget:small_budget () case with
       | Error _ -> ()
       | Ok () -> Alcotest.fail "reproducer did not replay the failure");
+      (* Each Broken call puts the previously active mutants back. *)
+      let module Mutation = Mdst_util.Mutation in
+      check "grant-drop off after the run" false (Mutation.enabled "grant-drop");
+      Fun.protect ~finally:(fun () -> Mutation.force None) (fun () ->
+          Mutation.force (Some [ "stop-check-race" ]);
+          ignore (C.Broken.prop ~budget:small_budget () case);
+          check "forced mutant kept" true (Mutation.enabled "stop-check-race");
+          check "grant-drop off again" false (Mutation.enabled "grant-drop"));
       (* The real protocol is fine on the very same case. *)
       match C.Default.prop ~budget:small_budget () case with
       | Ok () -> ()

@@ -121,7 +121,18 @@ let test_entry_print_parse_fixpoint () =
   check "empty rejected" true (rejects "");
   check "bad variant rejected" true (rejects "variant=wat;init=clean;n=3;edges=0-1,1-2;seed=1");
   check "bad sched token rejected" true
-    (rejects "variant=default;init=clean;n=3;edges=0-1,1-2;seed=1;sched=xyz")
+    (rejects "variant=default;init=clean;n=3;edges=0-1,1-2;seed=1;sched=xyz");
+  (* Malformed common keys name the key and the value. *)
+  let names s key value =
+    match Fuzz.entry_of_string s with
+    | _ -> Alcotest.failf "accepted %S" s
+    | exception Invalid_argument msg ->
+        let has sub = List.mem sub (String.split_on_char ' ' msg) in
+        check (Printf.sprintf "%S names %s=%s" msg key value) true
+          (has key && has (Printf.sprintf "%S" value))
+  in
+  names "n=3;edges=0-x,1-2;seed=1" "edges" "0-x";
+  names "n=abc;edges=0-1,1-2;seed=1" "n" "abc"
 
 (* ---------------- campaign soundness and trophy replay ---------------- *)
 
