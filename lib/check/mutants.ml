@@ -48,7 +48,7 @@ let suppression_fixtures =
    before its tampered message is delivered, so a stop check that ignores
    [Engine.faults_pending] declares convergence on a doomed configuration. *)
 let race_fixture =
-  "n=5;ids=5,3,4,1,2;edges=0-1,0-4,1-2,1-3,1-4,2-3,3-4;seed=57795;plan=seed=338085|corrupt:383-387:1>3:0.73"
+  "n=5;ids=5,3,4,1,2;edges=0-1,0-4,1-2,1-3,1-4,2-3,3-4;seed=57795;plan=seed=338085|corrupt:403-407:1>3:0.73"
 
 let stop_check_race_probe () =
   match

@@ -358,11 +358,33 @@ end = struct
       end
     end
 
+  (* The distance is the only defect: the parent is coherent, no better
+     root is claimed, and the parent's fresh mirror offers a distance
+     below n.  Adopt it instead of resetting to root — a reset would cut
+     the whole subtree off a tree that is otherwise sound (swap races and
+     stale UpdateDists leave exactly this), and R1 would rebuild the same
+     tree only for the race to repeat.  A real parent cycle still resets:
+     the distances climb around it until they reach n. *)
+  let repair_distance ctx (st : State.t) =
+    if st.State.parent = ctx.Node.id || st.root > ctx.Node.id || not (State.coherent_parent ctx st)
+    then None
+    else
+      match State.slot_of ctx st.parent with
+      | Some slot ->
+          let v = st.views.(slot) in
+          if v.State.w_fresh && v.w_dist >= 0 && v.w_dist + 1 < ctx.Node.n then begin
+            Mdst_util.Mutation.probe "proto:r1-repair-dist";
+            Some { st with State.dist = v.w_dist + 1 }
+          end
+          else None
+      | None -> None
+
   let apply_tree_rules ctx (st : State.t) =
     match try_graceful_reattach ctx st with
     | Some st -> st
     | None ->
-    if State.new_root_candidate ctx st then create_new_root ctx st
+    if State.new_root_candidate ctx st then
+      match repair_distance ctx st with Some st -> st | None -> create_new_root ctx st
     else if State.better_parent ctx st then begin
       (* argmin over (root, neighbour id) among fresh mirrors, tracked as a
          slot index so the scan allocates nothing. *)
@@ -885,7 +907,16 @@ end = struct
       st
       end
     in
-    match idblock with
+    (* A Search carrying an [idblock] that is not on this cycle cannot
+       relieve the blocking node; it is handled as a plain search, so a
+       Deblock that keeps being re-launched does not shut out every
+       ordinary improvement elsewhere. *)
+    let b_entry =
+      match idblock with
+      | Some b -> List.find_opt (fun e -> e.Msg.e_id = b) interior
+      | None -> None
+    in
+    match b_entry with
     | None ->
         let d_path = List.fold_left (fun acc e -> max acc e.Msg.e_deg) 0 interior in
         if d_path <> dmax || dmax < 3 then st
@@ -905,14 +936,11 @@ end = struct
           match w_entry with None -> st | Some w -> run_improve ctx st ~initiator_id ~path ~w_entry:w ~deg_max:dmax
         end
         else st
-    | Some b -> (
-        match List.find_opt (fun e -> e.Msg.e_id = b) interior with
-        | None -> st
-        | Some b_entry ->
-            if endpoint_max = dmax - 1 then deblock_endpoint ()
-            else if endpoint_max < dmax - 1 then
-              run_improve ctx st ~initiator_id ~path ~w_entry:b_entry ~deg_max:b_entry.Msg.e_deg
-            else st)
+    | Some b_entry ->
+        if endpoint_max = dmax - 1 then deblock_endpoint ()
+        else if endpoint_max < dmax - 1 then
+          run_improve ctx st ~initiator_id ~path ~w_entry:b_entry ~deg_max:b_entry.Msg.e_deg
+        else st
 
   let handle_search ctx (st : State.t) ~edge ~idblock ~stack ~visited =
     if not (State.locally_stabilized ctx st) then st

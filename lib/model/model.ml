@@ -230,11 +230,26 @@ let try_graceful_reattach l (st : State.t) =
       | Some (dist, parent_id) -> Some { st with State.parent = parent_id; dist = dist + 1 }
       | None -> None
 
+(* Distance-only defect: coherent parent, no better own root, and a fresh
+   parent mirror whose distance plus one is below n — take that distance
+   rather than resetting to root. *)
+let repair_distance l (st : State.t) =
+  if st.State.parent = l.id || st.root > l.id || not (coherent_parent l st) then None
+  else
+    match slot_of l st.State.parent with
+    | Some slot ->
+        let v = st.views.(slot) in
+        if v.State.w_fresh && v.w_dist >= 0 && v.w_dist + 1 < l.n then
+          Some { st with State.dist = v.w_dist + 1 }
+        else None
+    | None -> None
+
 let apply_tree_rules l (st : State.t) =
   match try_graceful_reattach l st with
   | Some st -> st
   | None ->
-      if new_root_candidate l st then create_new_root l st
+      if new_root_candidate l st then
+        match repair_distance l st with Some st -> st | None -> create_new_root l st
       else if better_parent l st then
         (* R1: adopt the fresh neighbour minimizing (claimed root, id). *)
         let best =
@@ -612,7 +627,14 @@ let action_on_cycle l (st : State.t) ~initiator_id ~idblock ~stack =
       st
     end
   in
-  match idblock with
+  (* An idblock that is not an interior node of this cycle is ignored: the
+     search counts as a plain one. *)
+  let b_entry =
+    match idblock with
+    | Some b -> List.find_opt (fun e -> e.Msg.e_id = b) interior
+    | None -> None
+  in
+  match b_entry with
   | None ->
       let d_path = List.fold_left (fun acc e -> max acc e.Msg.e_deg) 0 interior in
       if d_path <> dmax || dmax < 3 then st
@@ -631,14 +653,11 @@ let action_on_cycle l (st : State.t) ~initiator_id ~idblock ~stack =
         | None -> st
         | Some w -> run_improve l st ~initiator_id ~path ~w_entry:w ~deg_max:dmax)
       else st
-  | Some b -> (
-      match List.find_opt (fun e -> e.Msg.e_id = b) interior with
-      | None -> st
-      | Some b_entry ->
-          if endpoint_max = dmax - 1 then deblock_endpoint ()
-          else if endpoint_max < dmax - 1 then
-            run_improve l st ~initiator_id ~path ~w_entry:b_entry ~deg_max:b_entry.Msg.e_deg
-          else st)
+  | Some b_entry ->
+      if endpoint_max = dmax - 1 then deblock_endpoint ()
+      else if endpoint_max < dmax - 1 then
+        run_improve l st ~initiator_id ~path ~w_entry:b_entry ~deg_max:b_entry.Msg.e_deg
+      else st
 
 let handle_search l (st : State.t) ~edge ~idblock ~stack ~visited =
   if not (locally_stabilized l st) then st

@@ -231,6 +231,46 @@ let test_schedule_fuzz () =
         (List.init 12 (fun i -> 1000 + (13 * i))))
     [ "uniform"; "exponential"; "slow-links" ]
 
+(* ---------------- liveness regressions ----------------
+
+   Two reproducers on which the protocol never reached the FR fixpoint
+   before the local distance repair and the idblock fallback.  Mode A
+   (asynchronous): a Deblock for one node was re-launched forever, every
+   Search carried its idblock, and every cycle not containing that node
+   was dropped.  Mode B (synchronous daemon): two crossed swaps cut nodes
+   off with an incoherent distance, they reset to root, R1 rebuilt the
+   same tree and the race repeated with period 16. *)
+
+let mode_a_grid () =
+  let root = Prng.create 12345 in
+  for _ = 1 to 324 do
+    ignore (Prng.split root)
+  done;
+  Gen.with_random_ids (Prng.split root) (Gen.grid ~rows:5 ~cols:5)
+
+let test_mode_a_async_stall () =
+  let r = Run.converge ~seed:324 ~max_rounds:8000 ~fixpoint (mode_a_grid ()) in
+  check "mode A converges to the FR fixpoint" true r.converged
+
+let sync_er12 g = Gen.erdos_renyi_connected (Prng.create g) ~n:12 ~p:0.3
+
+let sync_converges ~graph ~seed =
+  (Mdst_core.Sync_run.converge ~seed ~init:`Random ~max_rounds:5000 ~fixpoint (sync_er12 graph))
+    .converged
+
+let test_mode_b_sync_livelock () =
+  check "mode B converges under the synchronous daemon" true (sync_converges ~graph:3 ~seed:10)
+
+(* ER n=12 graphs 0..9 x daemon seeds 0..9 from adversarial starts. *)
+let test_sync_sweep () =
+  let failed = ref [] in
+  for graph = 0 to 9 do
+    for seed = 0 to 9 do
+      if not (sync_converges ~graph ~seed) then failed := (graph, seed) :: !failed
+    done
+  done;
+  Alcotest.(check (list (pair int int))) "(graph, seed) pairs without convergence" [] (List.rev !failed)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "integration"
@@ -252,6 +292,12 @@ let () =
           Alcotest.test_case "message accounting consistent" `Quick test_messages_sum_to_total;
           q prop_transplant_identity;
           q prop_diverse_families_converge;
+        ] );
+      ( "liveness",
+        [
+          Alcotest.test_case "mode A: async Deblock stall" `Quick test_mode_a_async_stall;
+          Alcotest.test_case "mode B: sync swap-race livelock" `Quick test_mode_b_sync_livelock;
+          Alcotest.test_case "sync sweep (100 instances)" `Quick test_sync_sweep;
         ] );
       ( "ablations",
         [
