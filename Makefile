@@ -3,7 +3,7 @@
 DUNE ?= dune
 SIM   = $(DUNE) exec bin/mdst_sim.exe --
 
-.PHONY: all build test pbt pbt-long explore fuzz fuzz-long mutate bench bench-json bench-proto bench-parallel bench-guard pardet clean
+.PHONY: all build test pbt pbt-long explore fuzz fuzz-long mutate liveness bench bench-json bench-proto bench-parallel bench-guard pardet clean
 
 all: build
 
@@ -47,6 +47,13 @@ fuzz-long: build
 # when forced on and leave the probes silent when forced off.
 mutate: build
 	$(SIM) mutate
+
+# Opt-in liveness sweep (a few minutes): 2,000 5x5 grids and 1,500 ER
+# n=20 instances to the FR fixpoint at an 8,000-round cap, on the
+# sequential engine and on the sharded engine with one domain.  Prints a
+# one-line reproducer per stall and fails if there is any.
+liveness: build
+	$(DUNE) exec bench/liveness.exe
 
 bench: build
 	$(DUNE) exec bench/main.exe

@@ -185,6 +185,7 @@ let legitimate_with ctxs graph =
         pending = None;
         deblock = None;
         search_cursor = 0;
+        search_quiet = 0;
         last_info = None;
         info_age = 0;
       })

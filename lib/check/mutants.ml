@@ -31,9 +31,9 @@ let k5 = "0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4"
    event horizons make sure at least one Grant is delivered in-window. *)
 let grant_drop_fixtures =
   [
-    Printf.sprintf "n=5;edges=%s;seed=11;init=random;events=8000" k5;
-    Printf.sprintf "n=5;edges=%s;seed=23;init=random;events=8000" k5;
-    Printf.sprintf "n=5;edges=%s;seed=47;init=random;events=8000" k5;
+    Printf.sprintf "n=5;edges=%s;seed=12;init=random;events=8000" k5;
+    Printf.sprintf "n=5;edges=%s;seed=13;init=random;events=8000" k5;
+    Printf.sprintf "n=5;edges=%s;seed=14;init=random;events=8000" k5;
   ]
 
 (* Clean starts quiesce quickly, so the 8-tick refresh boundary is reached

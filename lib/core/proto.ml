@@ -86,6 +86,16 @@ module type CONFIG = sig
       without change.  The refresh is what preserves self-stabilization:
       a corrupted [last_info] cache can suppress at most this many ticks
       of gossip before the real variables are re-advertised. *)
+
+  val search_refresh_every : int
+  (** Change-driven Search.  A node starts Searches only during one full
+      rotation of its Search cursor over its neighbour slots after a local
+      change — a mirror value, its own tree or degree variables, a swap
+      lock or a Deblock being set or cleared — and during one such
+      rotation at least every this many ticks.  The refresh bounds how
+      long a corrupted [search_quiet] counter, or a change the node cannot
+      see (a swap elsewhere on one of its cycles), can hold a search back.
+      [1] searches on every tick. *)
 end
 
 module Default_config : CONFIG = struct
@@ -98,6 +108,7 @@ module Default_config : CONFIG = struct
   let search_on_info = false
   let info_suppression = false
   let info_refresh_every = 8
+  let search_refresh_every = 32
 end
 
 module No_deblock_config : CONFIG = struct
@@ -124,12 +135,14 @@ module Graceful_config : CONFIG = struct
   let graceful_reattach = true
 end
 
-(* The paper's literal behaviour: no pruning, searches on every gossip. *)
+(* The paper's literal behaviour: no pruning, searches on every gossip and
+   on every tick. *)
 module Paper_faithful_config : CONFIG = struct
   include Default_config
 
   let eager_prune = false
   let search_on_info = true
+  let search_refresh_every = 1
 end
 
 module Suppressed_config : CONFIG = struct
@@ -292,7 +305,7 @@ end = struct
           w_subtree_max = i.i_subtree_max;
           w_fresh = true;
         };
-      { st with views }
+      { st with views; search_quiet = 0 }
     end
 
   let send_to_id ctx id msg =
@@ -753,7 +766,7 @@ end = struct
         else begin
           let views = Array.copy st.State.views in
           views.(slot) <- { v with State.w_parent; w_dist = dist; w_fresh = true };
-          { st with State.views = views }
+          { st with State.views = views; search_quiet = 0 }
         end
 
   let handle_reverse ctx (st : State.t) ~src ~edge ~dist ~segment =
@@ -895,10 +908,12 @@ end = struct
       let st =
         if deg_me = dmax - 1 then begin
           Mdst_util.Mutation.probe "proto:deblock-launch";
-          (match st.State.deblock with
-          | Some (b, _) when b = ctx.Node.id -> ()
-          | Some _ | None -> send_deblock_flood ctx st ~idblock:ctx.Node.id ~ttl:ctx.Node.n);
-          { st with State.deblock = Some (ctx.Node.id, C.deblock_ttl) }
+          (* Held already: left to expire, as in [handle_deblock]. *)
+          match st.State.deblock with
+          | Some (b, _) when b = ctx.Node.id -> st
+          | Some _ | None ->
+              send_deblock_flood ctx st ~idblock:ctx.Node.id ~ttl:ctx.Node.n;
+              { st with State.deblock = Some (ctx.Node.id, C.deblock_ttl) }
         end
         else st
       in
@@ -967,13 +982,18 @@ end = struct
     else begin
       (* Re-flood only when the request is news to us: repeated Deblocks for
          a blocking node we are already serving would otherwise amplify
-         exponentially down the subtree. *)
-      (match st.State.deblock with
-      | Some (b, _) when b = idblock -> ()
+         exponentially down the subtree.  Nor is a held Deblock refreshed:
+         it expires after [deblock_ttl] ticks, and the next request
+         re-floods.  Refreshing it let a blocking node that keeps being
+         asked hold its flag forever after a single flood, while the copies
+         down its subtree expired — and with them the only Searches that
+         could relieve it. *)
+      match st.State.deblock with
+      | Some (b, _) when b = idblock -> st
       | Some _ | None ->
           Mdst_util.Mutation.probe "proto:deblock-flood";
-          send_deblock_flood ctx st ~idblock ~ttl:(ttl - 1));
-      { st with State.deblock = Some (idblock, C.deblock_ttl) }
+          send_deblock_flood ctx st ~idblock ~ttl:(ttl - 1);
+          { st with State.deblock = Some (idblock, C.deblock_ttl) }
     end
 
   let handle_update_dist ctx (st : State.t) ~src ~dist ~ttl =
@@ -994,14 +1014,20 @@ end = struct
   (* Search initiation policy                                          *)
   (* ---------------------------------------------------------------- *)
 
-  let maybe_start_search ctx (st : State.t) =
+  (* One Search turn: scan the neighbour slots from the cursor and start
+     at most one Search, on the first worthwhile non-tree edge.  Returns
+     the number of slots scanned; 0 when no scan may run (reductions off,
+     a swap lock held, not locally stabilized, or the change-driven window
+     closed: [search_quiet] at or past the degree). *)
+  let search_scan ctx (st : State.t) =
     let deg = Array.length ctx.Node.neighbors in
     if
       (not C.enable_reduction)
       || deg = 0
+      || st.State.search_quiet >= deg
       || st.State.pending <> None
       || not (State.locally_stabilized ctx st)
-    then st
+    then 0
     else begin
       let idblock = match st.State.deblock with Some (b, _) -> Some b | None -> None in
       let own_deg = State.tree_degree ctx st in
@@ -1031,9 +1057,31 @@ end = struct
           end
         end
       done;
-      if !cursor = st.State.search_cursor then st
-      else { st with State.search_cursor = !cursor }
+      !tried
     end
+
+  let cursor_after ctx (st : State.t) tried =
+    if tried = 0 then st.State.search_cursor
+    else (st.State.search_cursor + tried) mod Array.length ctx.Node.neighbors
+
+  (* The [search_on_info] turn (paper Fig. 2 line 2): a scan on an Info
+     receipt, which moves the cursor but is no tick of the window. *)
+  let maybe_start_search ctx (st : State.t) =
+    let cursor = cursor_after ctx st (search_scan ctx st) in
+    if cursor = st.State.search_cursor then st else { st with State.search_cursor = cursor }
+
+  (* The tick's Search turn.  [search_quiet] advances by the slots the scan
+     visited, or by one when no scan ran, so the window a local change
+     opens closes once the cursor has made one full rotation.  On reaching
+     [search_refresh_every] — or when corrupted out of range — it wraps to
+     0, which reopens the window at least once every that many ticks. *)
+  let tick_search ctx (st : State.t) =
+    let tried = search_scan ctx st in
+    let cursor = cursor_after ctx st tried in
+    let q = st.State.search_quiet + max 1 tried in
+    let q = if q < 0 || q >= C.search_refresh_every then 0 else q in
+    if cursor = st.State.search_cursor && q = st.State.search_quiet then st
+    else { st with State.search_cursor = cursor; search_quiet = q }
 
   (* ---------------------------------------------------------------- *)
   (* Event handlers                                                    *)
@@ -1055,21 +1103,40 @@ end = struct
         in
         { st with State.pending; deblock }
 
-  let on_tick ctx (st : State.t) =
-    let st = decay st in
-    let st = recompute ctx st in
-    let st = maybe_start_search ctx st in
-    broadcast_info ctx st
+  (* Did a step move anything this node's cycles, or its view of them,
+     depend on?  Its own tree and degree variables, a swap lock or a
+     Deblock being set or cleared.  Mirror values are compared where they
+     are written ([update_view], [patch_view]).  Lock and Deblock TTLs
+     ticking down are no change. *)
+  let locally_changed (a : State.t) (b : State.t) =
+    a.root <> b.root
+    || a.parent <> b.parent
+    || a.dist <> b.dist
+    || a.dmax <> b.dmax
+    || a.color <> b.color
+    || a.subtree_max <> b.subtree_max
+    || (a.pending = None) <> (b.pending = None)
+    ||
+    match (a.deblock, b.deblock) with
+    | None, None -> false
+    | Some (x, _), Some (y, _) -> x <> y
+    | Some _, None | None, Some _ -> true
 
-  let on_message ctx (st : State.t) ~src msg =
+  (* Restart the search window after a local change.  Allocates only when
+     the counter actually moves. *)
+  let note_change ~before (st : State.t) =
+    if st == before || st.State.search_quiet = 0 || not (locally_changed before st) then st
+    else { st with State.search_quiet = 0 }
+
+  let on_tick ctx (before : State.t) =
+    let st = note_change ~before (recompute ctx (decay before)) in
+    broadcast_info ctx (tick_search ctx st)
+
+  (* Every family but Info; Info receipts go through [on_message]'s own
+     arm. *)
+  let handle_protocol_message ctx (st : State.t) ~src msg =
     match msg with
-    | Msg.Info info -> (
-        match State.slot_of ctx (Graph_id.of_src ctx src) with
-        | Some slot ->
-            let st = recompute ctx (update_view st slot info) in
-            (* paper Fig. 2 line 2: Cycle_Search(NIL) on every receipt. *)
-            if C.search_on_info then maybe_start_search ctx st else st
-        | None -> st)
+    | Msg.Info _ -> st
     | ( Msg.Search _ | Msg.Swap_req _ | Msg.Remove _ | Msg.Grant _ | Msg.Reverse _
       | Msg.Update_dist _ | Msg.Deblock _ )
       when not C.enable_reduction ->
@@ -1092,6 +1159,17 @@ end = struct
         handle_reverse ctx st ~src ~edge:v_edge ~dist:v_dist ~segment:v_segment
     | Msg.Update_dist { u_dist; u_ttl } -> handle_update_dist ctx st ~src ~dist:u_dist ~ttl:u_ttl
     | Msg.Deblock { d_idblock; d_ttl } -> handle_deblock ctx st ~idblock:d_idblock ~ttl:d_ttl
+
+  let on_message ctx (st : State.t) ~src msg =
+    match msg with
+    | Msg.Info info -> (
+        match State.slot_of ctx (Graph_id.of_src ctx src) with
+        | Some slot ->
+            let st = note_change ~before:st (recompute ctx (update_view st slot info)) in
+            (* paper Fig. 2 line 2: Cycle_Search(NIL) on every receipt. *)
+            if C.search_on_info then maybe_start_search ctx st else st
+        | None -> st)
+    | _ -> note_change ~before:st (handle_protocol_message ctx st ~src msg)
 end
 
 module Default = Make (Default_config)

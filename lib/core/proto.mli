@@ -62,6 +62,15 @@ module type CONFIG = sig
   (** With suppression on, force a broadcast at least every this many
       ticks: the bounded-staleness window that preserves
       self-stabilization when the suppression cache itself is corrupted. *)
+
+  val search_refresh_every : int
+  (** Change-driven Search: a node starts Searches during one full
+      rotation of its Search cursor over its neighbour slots after a local
+      change (mirror value, own tree/degree variables, swap lock or
+      Deblock set or cleared) and during one rotation at least every this
+      many ticks (default 32).  The refresh bounds how long a corrupted
+      counter, or a change the node cannot see, can hold a search back.
+      [1] searches on every tick ([Paper_faithful_config]). *)
 end
 
 module Default_config : CONFIG

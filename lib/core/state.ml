@@ -33,6 +33,7 @@ type t = {
   pending : pending option;
   deblock : (int * int) option;  (* (idblock, remaining ticks) *)
   search_cursor : int;  (* rotates over neighbour slots for Search starts *)
+  search_quiet : int;  (* Search steps since the last local change, modulo the refresh period *)
   (* Info dirty-bit suppression bookkeeping (inert — None/0 — unless the
      config enables suppression): the public-variable snapshot last
      gossiped and the ticks elapsed since, driving the periodic refresh
@@ -166,6 +167,7 @@ let clean ctx =
     pending = None;
     deblock = None;
     search_cursor = 0;
+    search_quiet = 0;
     last_info = None;
     info_age = 0;
   }
@@ -188,52 +190,59 @@ let random ?(suppression = false) ctx rng =
       w_fresh = P.bool rng;
     }
   in
-  {
-    root = rand_id ();
-    parent =
-      (if deg > 0 && P.bool rng then ctx.neighbor_ids.(P.int rng deg)
-       else if P.bool rng then ctx.id
-       else rand_id ());
-    dist = P.int rng (2 * ctx.n);
-    dmax = P.int rng (ctx.n + 1);
-    color = P.bool rng;
-    subtree_max = P.int rng (ctx.n + 1);
-    views = Array.init deg (fun _ -> rand_view ());
-    pending =
-      (if P.bool rng then None
-       else
-         Some
-           {
-             p_edge = (rand_id (), rand_id ());
-             p_target = (rand_id (), rand_id ());
-             p_ttl = P.int rng 8;
-           });
-    deblock = (if P.bool rng then None else Some (rand_id (), P.int rng 8));
-    search_cursor = (if deg = 0 then 0 else P.int rng deg);
-    (* Extra draws ONLY in suppression mode, and placed after every other
-       field: configurations without suppression keep a bit-identical
-       draw sequence, which the exact-replay fault goldens depend on. *)
-    last_info =
-      (if suppression && P.bool rng then
-         Some
-           {
-             Msg.i_root = rand_id ();
-             i_parent = rand_id ();
-             i_dist = P.int rng (2 * ctx.n);
-             i_deg = P.int rng (deg + 2);
-             i_dmax = P.int rng (ctx.n + 1);
-             i_color = P.bool rng;
-             i_subtree_max = P.int rng (ctx.n + 1);
-           }
-       else None);
-    info_age = (if suppression then P.int rng 16 else 0);
-  }
+  let st =
+    {
+      root = rand_id ();
+      parent =
+        (if deg > 0 && P.bool rng then ctx.neighbor_ids.(P.int rng deg)
+         else if P.bool rng then ctx.id
+         else rand_id ());
+      dist = P.int rng (2 * ctx.n);
+      dmax = P.int rng (ctx.n + 1);
+      color = P.bool rng;
+      subtree_max = P.int rng (ctx.n + 1);
+      views = Array.init deg (fun _ -> rand_view ());
+      pending =
+        (if P.bool rng then None
+         else
+           Some
+             {
+               p_edge = (rand_id (), rand_id ());
+               p_target = (rand_id (), rand_id ());
+               p_ttl = P.int rng 8;
+             });
+      deblock = (if P.bool rng then None else Some (rand_id (), P.int rng 8));
+      search_cursor = (if deg = 0 then 0 else P.int rng deg);
+      (* Extra draws ONLY in suppression mode, and placed after every other
+         field: configurations without suppression keep a bit-identical
+         draw sequence, which the exact-replay fault goldens depend on. *)
+      last_info =
+        (if suppression && P.bool rng then
+           Some
+             {
+               Msg.i_root = rand_id ();
+               i_parent = rand_id ();
+               i_dist = P.int rng (2 * ctx.n);
+               i_deg = P.int rng (deg + 2);
+               i_dmax = P.int rng (ctx.n + 1);
+               i_color = P.bool rng;
+               i_subtree_max = P.int rng (ctx.n + 1);
+             }
+         else None);
+      info_age = (if suppression then P.int rng 16 else 0);
+      search_quiet = 0;
+    }
+  in
+  (* Drawn after every other field (record fields have no evaluation
+     order), so the rest of the node's state is what it was before the
+     counter existed. *)
+  { st with search_quiet = rand_id () }
 
 (* --- Metering (experiment E5) --------------------------------------------- *)
 
 let bits ~n st =
   let id = Sizing.id_bits ~n in
-  let own = (5 * id) + Sizing.bool_bits + (3 * id) (* pending + deblock + cursor *) in
+  let own = (5 * id) + Sizing.bool_bits + (4 * id) (* pending + deblock + cursor + quiet *) in
   let per_view = (6 * id) + (2 * Sizing.bool_bits) in
   (* Suppression cache: the snapshot (6 ids + colour) plus the age
      counter, only when the mode is on and a snapshot is held. *)

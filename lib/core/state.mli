@@ -33,6 +33,12 @@ type t = {
   pending : pending option;
   deblock : (int * int) option;  (** (idblock, remaining ticks) *)
   search_cursor : int;  (** rotates over neighbour slots for Search starts *)
+  search_quiet : int;
+      (** Change-driven Search: steps since the last local change, modulo
+          the protocol's search refresh period.  A tick is one step, or as
+          many as the neighbour slots its Search scan visited, so Search
+          starts — allowed while the counter is below the node's degree —
+          cover one full cursor rotation after each change. *)
   last_info : Msg.info option;
       (** Info dirty-bit suppression: snapshot of the public variables as
           last gossiped.  Inert ([None]) unless the protocol config enables
@@ -87,8 +93,8 @@ val random : ?suppression:bool -> 'msg Mdst_sim.Node.ctx -> Mdst_util.Prng.t -> 
 (** The self-stabilization adversary: every variable, mirror included,
     takes an arbitrary (type-correct) value.  With [~suppression:true]
     the gossip-suppression cache ([last_info] / [info_age]) is also drawn
-    arbitrarily — the extra draws happen only in that mode, so existing
-    exact-replay executions are unaffected. *)
+    arbitrarily — the extra draws happen only in that mode.  The Search
+    quiet counter is drawn last, after every other field of the node. *)
 
 (** {1 Metering / debug} *)
 

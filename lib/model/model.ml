@@ -31,6 +31,7 @@ type params = {
   search_on_info : bool;
   info_suppression : bool;
   info_refresh_every : int;
+  search_refresh_every : int;
 }
 
 let default =
@@ -44,6 +45,7 @@ let default =
     search_on_info = false;
     info_suppression = false;
     info_refresh_every = 8;
+    search_refresh_every = 32;
   }
 
 let suppressed = { default with info_suppression = true }
@@ -175,9 +177,16 @@ let broadcast_info l (st : State.t) =
       { st with State.last_info = Some i; info_age = 0 }
     end
 
-let update_view (st : State.t) slot (i : Msg.info) =
+(* Writing a mirror slot restarts the Search window exactly when the
+   written value differs from the one it replaces. *)
+let write_view (st : State.t) slot view =
   let views = Array.copy st.State.views in
-  views.(slot) <-
+  views.(slot) <- view;
+  let search_quiet = if st.State.views.(slot) = view then st.search_quiet else 0 in
+  { st with State.views; search_quiet }
+
+let update_view (st : State.t) slot (i : Msg.info) =
+  write_view st slot
     {
       State.w_root = i.Msg.i_root;
       w_parent = i.i_parent;
@@ -187,8 +196,7 @@ let update_view (st : State.t) slot (i : Msg.info) =
       w_color = i.i_color;
       w_subtree_max = i.i_subtree_max;
       w_fresh = true;
-    };
-  { st with State.views }
+    }
 
 (* ---------------------------------------------------------------- *)
 (* Spanning-tree module (rules R1 / R2)                              *)
@@ -513,9 +521,7 @@ let patch_view l (st : State.t) ~nid ~parent ~dist =
   | Some slot ->
       let v = st.State.views.(slot) in
       let w_parent = match parent with Some p -> p | None -> v.State.w_parent in
-      let views = Array.copy st.State.views in
-      views.(slot) <- { v with State.w_parent; w_dist = dist; w_fresh = true };
-      { st with State.views }
+      write_view st slot { v with State.w_parent; w_dist = dist; w_fresh = true }
 
 let handle_reverse l (st : State.t) ~sender_id ~edge ~dist ~segment =
   let me = l.id in
@@ -614,12 +620,12 @@ let action_on_cycle l (st : State.t) ~initiator_id ~idblock ~stack =
     if not l.p.enable_deblock then st
     else begin
       let st =
-        if deg_me = dmax - 1 then begin
-          (match st.State.deblock with
-          | Some (b, _) when b = l.id -> ()
-          | Some _ | None -> send_deblock_flood l st ~idblock:l.id ~ttl:l.n);
-          { st with State.deblock = Some (l.id, l.p.deblock_ttl) }
-        end
+        if deg_me = dmax - 1 then
+          match st.State.deblock with
+          | Some (b, _) when b = l.id -> st
+          | Some _ | None ->
+              send_deblock_flood l st ~idblock:l.id ~ttl:l.n;
+              { st with State.deblock = Some (l.id, l.p.deblock_ttl) }
         else st
       in
       if deg_i = dmax - 1 then
@@ -680,10 +686,13 @@ let handle_search l (st : State.t) ~edge ~idblock ~stack ~visited =
 let handle_deblock l (st : State.t) ~idblock ~ttl =
   if ttl <= 0 || not l.p.enable_deblock then st
   else begin
-    (match st.State.deblock with
-    | Some (b, _) when b = idblock -> ()
-    | Some _ | None -> send_deblock_flood l st ~idblock ~ttl:(ttl - 1));
-    { st with State.deblock = Some (idblock, l.p.deblock_ttl) }
+    (* A Deblock already held is neither re-flooded nor refreshed: it
+       expires, and the next one re-floods the subtree. *)
+    match st.State.deblock with
+    | Some (b, _) when b = idblock -> st
+    | Some _ | None ->
+        send_deblock_flood l st ~idblock ~ttl:(ttl - 1);
+        { st with State.deblock = Some (idblock, l.p.deblock_ttl) }
   end
 
 let handle_update_dist l (st : State.t) ~sender_id ~dist ~ttl =
@@ -701,43 +710,61 @@ let handle_update_dist l (st : State.t) ~sender_id ~dist ~ttl =
 (* Search initiation policy                                          *)
 (* ---------------------------------------------------------------- *)
 
-let maybe_start_search l (st : State.t) =
+(* One Search turn: rotate over the neighbour slots from the cursor, at
+   most one full turn, starting the first worthwhile search found.
+   Returns the number of slots scanned, 0 when no scan may run (the
+   change-driven window is closed once [search_quiet] reaches the
+   degree). *)
+let search_scan l (st : State.t) =
   let deg = Array.length l.nbrs in
   if
     (not l.p.enable_reduction)
     || deg = 0
+    || st.State.search_quiet >= deg
     || st.State.pending <> None
     || not (locally_stabilized l st)
-  then st
+  then 0
   else begin
     let idblock = match st.State.deblock with Some (b, _) -> Some b | None -> None in
     let own_deg = tree_degree l st in
-    (* Rotate the cursor over neighbour slots, at most one full turn,
-       starting the first worthwhile search found. *)
-    let rec loop tried cursor =
-      if tried >= deg then cursor
+    let rec loop tried =
+      if tried >= deg then tried
       else
-        let slot = cursor mod deg in
-        let cursor = (cursor + 1) mod deg in
+        let slot = (st.State.search_cursor + tried) mod deg in
         let uid = l.nbr_ids.(slot) in
         let v = st.State.views.(slot) in
-        if (not (is_tree_edge l st slot)) && l.id < uid && v.State.w_fresh then begin
-          let worth =
-            match idblock with
-            | Some _ -> true
-            | None -> (not l.p.eager_prune) || st.State.dmax >= max own_deg v.State.w_deg + 1
-          in
-          if worth then begin
-            start_search l st ~responder_id:uid ~idblock;
-            cursor
-          end
-          else loop (tried + 1) cursor
+        let worth =
+          match idblock with
+          | Some _ -> true
+          | None -> (not l.p.eager_prune) || st.State.dmax >= max own_deg v.State.w_deg + 1
+        in
+        if (not (is_tree_edge l st slot)) && l.id < uid && v.State.w_fresh && worth then begin
+          start_search l st ~responder_id:uid ~idblock;
+          tried + 1
         end
-        else loop (tried + 1) cursor
+        else loop (tried + 1)
     in
-    let cursor = loop 0 st.State.search_cursor in
-    if cursor = st.State.search_cursor then st else { st with State.search_cursor = cursor }
+    loop 0
   end
+
+let cursor_after l (st : State.t) tried =
+  if tried = 0 then st.State.search_cursor
+  else (st.State.search_cursor + tried) mod Array.length l.nbrs
+
+(* The [search_on_info] turn: moves the cursor, is no tick of the window. *)
+let maybe_start_search l (st : State.t) =
+  { st with State.search_cursor = cursor_after l st (search_scan l st) }
+
+(* The tick's turn: the quiet counter advances by the slots scanned (one
+   when no scan ran) and wraps to 0 outside [0, search_refresh_every). *)
+let tick_search l (st : State.t) =
+  let tried = search_scan l st in
+  let q = st.State.search_quiet + max 1 tried in
+  {
+    st with
+    State.search_cursor = cursor_after l st tried;
+    search_quiet = (if 0 <= q && q < l.p.search_refresh_every then q else 0);
+  }
 
 (* ---------------------------------------------------------------- *)
 (* Event handlers                                                    *)
@@ -756,11 +783,28 @@ let decay (st : State.t) =
   in
   { st with State.pending; deblock }
 
-let on_tick l st =
-  let st = decay st in
-  let st = recompute l st in
-  let st = maybe_start_search l st in
-  broadcast_info l st
+(* Change-driven Search: a local change — own tree or degree variables,
+   a swap lock or a Deblock set or cleared (a TTL ticking down is none),
+   or a mirror value (see [write_view]) — resets the quiet counter;
+   [tick_search] advances it, and Search starts need it below the node's
+   degree. *)
+let locally_changed (a : State.t) (b : State.t) =
+  let deblock_id (st : State.t) = Option.map fst st.State.deblock in
+  a.State.root <> b.State.root
+  || a.parent <> b.parent
+  || a.dist <> b.dist
+  || a.dmax <> b.dmax
+  || a.color <> b.color
+  || a.subtree_max <> b.subtree_max
+  || Option.is_some a.pending <> Option.is_some b.pending
+  || deblock_id a <> deblock_id b
+
+let note_change ~before (st : State.t) =
+  if locally_changed before st then { st with State.search_quiet = 0 } else st
+
+let on_tick l before =
+  let st = note_change ~before (recompute l (decay before)) in
+  broadcast_info l (tick_search l st)
 
 (* Sender identification: translate the dense source index through the
    receiver's neighbour table, as Graph_id.of_src does. *)
@@ -772,15 +816,10 @@ let id_of_src l ~src_node ~nbrs_nodes =
   in
   find 0
 
-let on_message l (st : State.t) ~src_node msg =
-  let sender_id = id_of_src l ~src_node ~nbrs_nodes:l.nbrs in
+(* Every family but Info, which [on_message] handles itself. *)
+let handle_protocol_message l (st : State.t) ~sender_id msg =
   match msg with
-  | Msg.Info info -> (
-      match slot_of l sender_id with
-      | Some slot ->
-          let st = recompute l (update_view st slot info) in
-          if l.p.search_on_info then maybe_start_search l st else st
-      | None -> st)
+  | Msg.Info _ -> st
   | ( Msg.Search _ | Msg.Swap_req _ | Msg.Remove _ | Msg.Grant _ | Msg.Reverse _
     | Msg.Update_dist _ | Msg.Deblock _ )
     when not l.p.enable_reduction ->
@@ -798,6 +837,17 @@ let on_message l (st : State.t) ~src_node msg =
   | Msg.Update_dist { u_dist; u_ttl } ->
       handle_update_dist l st ~sender_id ~dist:u_dist ~ttl:u_ttl
   | Msg.Deblock { d_idblock; d_ttl } -> handle_deblock l st ~idblock:d_idblock ~ttl:d_ttl
+
+let on_message l (st : State.t) ~src_node msg =
+  let sender_id = id_of_src l ~src_node ~nbrs_nodes:l.nbrs in
+  match msg with
+  | Msg.Info info -> (
+      match slot_of l sender_id with
+      | Some slot ->
+          let st = note_change ~before:st (recompute l (update_view st slot info)) in
+          if l.p.search_on_info then maybe_start_search l st else st
+      | None -> st)
+  | _ -> note_change ~before:st (handle_protocol_message l st ~sender_id msg)
 
 (* ---------------------------------------------------------------- *)
 (* The global configuration and its step                             *)

@@ -36,6 +36,7 @@ type params = {
   search_on_info : bool;
   info_suppression : bool;
   info_refresh_every : int;
+  search_refresh_every : int;
 }
 
 val default : params

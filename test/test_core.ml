@@ -705,6 +705,188 @@ let test_pengine_stabilizes_to_legit_tree () =
   | Some t -> check "FR fixpoint reached" true (fixpoint t)
   | None -> Alcotest.fail "no legitimate tree at quiescence"
 
+(* ---------------- change-driven Search ---------------- *)
+
+module PD = Mdst_core.Proto.Default
+
+let refresh = Mdst_core.Proto.Default_config.search_refresh_every
+
+(* Node 1 of a legitimate configuration (root 0, dmax 3): parent 0, child
+   2, and one non-tree edge to 3 that is worth searching
+   (dmax >= max(deg 2, deg 1) + 1).  [searches] collects the idblock of
+   every Search it sends. *)
+let search_rig ?(quiet = 0) () =
+  let searches = ref [] in
+  let ctx =
+    {
+      (make_ctx ~id:1 ~neighbor_ids:[ 0; 2; 3 ] ()) with
+      Node.send =
+        (fun _ m ->
+          match m with Msg.Search { s_idblock; _ } -> searches := s_idblock :: !searches | _ -> ());
+    }
+  in
+  let view ~parent ~dist ~deg ~stm =
+    {
+      State.w_root = 0;
+      w_parent = parent;
+      w_dist = dist;
+      w_deg = deg;
+      w_dmax = 3;
+      w_color = false;
+      w_subtree_max = stm;
+      w_fresh = true;
+    }
+  in
+  let st =
+    {
+      (State.clean ctx) with
+      State.root = 0;
+      parent = 0;
+      dist = 1;
+      dmax = 3;
+      subtree_max = 3;
+      views =
+        [|
+          view ~parent:0 ~dist:0 ~deg:3 ~stm:3;
+          view ~parent:1 ~dist:2 ~deg:1 ~stm:3;
+          view ~parent:0 ~dist:1 ~deg:1 ~stm:1;
+        |];
+      search_quiet = quiet;
+    }
+  in
+  (ctx, st, searches)
+
+(* The Info that would repeat a mirror slot exactly. *)
+let info_of_view (v : State.view) =
+  {
+    Msg.i_root = v.State.w_root;
+    i_parent = v.w_parent;
+    i_dist = v.w_dist;
+    i_deg = v.w_deg;
+    i_dmax = v.w_dmax;
+    i_color = v.w_color;
+    i_subtree_max = v.w_subtree_max;
+  }
+
+(* Tick until the node sends a Search; the number of ticks it took. *)
+let ticks_to_search ?(limit = 4 * refresh) ctx st searches =
+  let rec go st i =
+    if i > limit then (st, i)
+    else begin
+      searches := [];
+      let st = PD.on_tick ctx st in
+      if !searches <> [] then (st, i) else go st (i + 1)
+    end
+  in
+  go st 1
+
+let test_search_gate_closes_and_refreshes () =
+  let ctx, st, searches = search_rig () in
+  check "rig is locally stabilized" true (State.locally_stabilized ctx st);
+  let st, first = ticks_to_search ctx st searches in
+  Alcotest.(check int) "a fresh window searches on the first tick" 1 first;
+  (* Nothing changes from here on: the window stays shut until the
+     refresh reopens it, at least every [refresh] ticks. *)
+  let st, gap1 = ticks_to_search ctx st searches in
+  let _, gap2 = ticks_to_search ctx st searches in
+  List.iter
+    (fun gap ->
+      check (Printf.sprintf "gap %d: shut after the rotation" gap) true (gap > 1);
+      check (Printf.sprintf "gap %d: refreshed within %d ticks" gap refresh) true (gap <= refresh))
+    [ gap1; gap2 ]
+
+let test_search_gate_corrupted_counter () =
+  List.iter
+    (fun quiet ->
+      let ctx, st, searches = search_rig ~quiet () in
+      let _, ticks = ticks_to_search ctx st searches in
+      check
+        (Printf.sprintf "counter %d: next search within %d ticks (took %d)" quiet refresh ticks)
+        true (ticks <= refresh))
+    [ 3; refresh - 1; refresh; 1000; -7; max_int; min_int ]
+
+(* A state whose window is shut: one search tick, then one more tick. *)
+let shut_rig () =
+  let ctx, st, searches = search_rig () in
+  let st, _ = ticks_to_search ctx st searches in
+  searches := [];
+  let st = PD.on_tick ctx st in
+  check "window shut" true (!searches = [] && st.State.search_quiet >= 3);
+  (ctx, st, searches)
+
+let test_search_gate_local_changes () =
+  let opens what ctx st searches =
+    Alcotest.(check int) (what ^ ": counter reset") 0 st.State.search_quiet;
+    let _, ticks = ticks_to_search ctx st searches in
+    Alcotest.(check int) (what ^ ": searches on the next tick") 1 ticks
+  in
+  (* A mirror value: neighbour 3 reports another subtree_max. *)
+  let ctx, st, searches = shut_rig () in
+  let changed = { (info_of_view st.State.views.(2)) with Msg.i_subtree_max = 2 } in
+  let st = PD.on_message ctx st ~src:3 (Msg.Info changed) in
+  opens "mirror value" ctx st searches;
+  (* An own variable: a dmax that disagrees with the parent is corrected
+     on the tick, and the same tick searches. *)
+  let ctx, st, searches = shut_rig () in
+  searches := [];
+  let st = PD.on_tick ctx { st with State.dmax = 2 } in
+  check "own variable: the correcting tick searches" true (!searches <> []);
+  Alcotest.(check int) "own variable: dmax corrected" 3 st.State.dmax;
+  (* A swap lock expiring on the tick clears it: the same tick searches. *)
+  let ctx, st, searches = shut_rig () in
+  searches := [];
+  let lock = { State.p_edge = (1, 3); p_target = (2, 1); p_ttl = 1 } in
+  let st = PD.on_tick ctx { st with State.pending = Some lock } in
+  check "lock cleared: the same tick searches" true (!searches <> [] && st.State.pending = None);
+  (* A Deblock set by a receipt, then its expiry. *)
+  let ctx, st, searches = shut_rig () in
+  let st = PD.on_message ctx st ~src:0 (Msg.Deblock { d_idblock = 0; d_ttl = 3 }) in
+  opens "deblock set" ctx st searches;
+  check "deblock-mode search carries the idblock" true
+    (List.for_all (fun b -> b = Some 0) !searches);
+  let ctx, st, searches = shut_rig () in
+  searches := [];
+  let _ = PD.on_tick ctx { st with State.deblock = Some (0, 1) } in
+  check "deblock cleared: the same tick searches" true (!searches <> [])
+
+let test_search_gate_unchanged_info_is_free () =
+  let ctx, st, _ = shut_rig () in
+  List.iteri
+    (fun slot src ->
+      let repeat = Msg.Info (info_of_view st.State.views.(slot)) in
+      check
+        (Printf.sprintf "repeated Info from %d returns the same state" src)
+        true
+        (PD.on_message ctx st ~src repeat == st))
+    [ 0; 2; 3 ]
+
+(* A Deblock already held is neither re-flooded nor refreshed: it runs out
+   after deblock_ttl ticks and the next request floods the subtree again,
+   so the copies below a node that keeps being asked do not lapse for
+   good. *)
+let test_held_deblock_expires_and_refloods () =
+  let floods = ref 0 in
+  let ctx0, st, _ = search_rig () in
+  let ctx =
+    { ctx0 with Node.send = (fun _ m -> match m with Msg.Deblock _ -> incr floods | _ -> ()) }
+  in
+  let deblock st = PD.on_message ctx st ~src:0 (Msg.Deblock { d_idblock = 0; d_ttl = 3 }) in
+  let st = deblock st in
+  Alcotest.(check int) "news floods the child" 1 !floods;
+  let st = PD.on_tick ctx st in
+  let held = st.State.deblock in
+  let st = deblock st in
+  Alcotest.(check int) "held: no re-flood" 1 !floods;
+  check "held: not refreshed" true (st.State.deblock == held);
+  let ttl = Mdst_core.Proto.Default_config.deblock_ttl in
+  let st = ref st in
+  for _ = 2 to ttl do
+    st := PD.on_tick ctx !st
+  done;
+  check "expired after deblock_ttl ticks" true ((!st).State.deblock = None);
+  let _ = deblock !st in
+  Alcotest.(check int) "the next request floods again" 2 !floods
+
 let () =
   Alcotest.run "core"
     [
@@ -750,6 +932,19 @@ let () =
           Alcotest.test_case "colors agree at fixpoint" `Quick test_colors_agree_at_fixpoint;
           Alcotest.test_case "graceful reattach mechanism" `Quick test_graceful_reattach_mechanism;
           Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
+        ] );
+      ( "search-gate",
+        [
+          Alcotest.test_case "window shuts, refresh reopens" `Quick
+            test_search_gate_closes_and_refreshes;
+          Alcotest.test_case "corrupted counter searches within R" `Quick
+            test_search_gate_corrupted_counter;
+          Alcotest.test_case "every kind of local change reopens" `Quick
+            test_search_gate_local_changes;
+          Alcotest.test_case "unchanged Info allocates nothing" `Quick
+            test_search_gate_unchanged_info_is_free;
+          Alcotest.test_case "held Deblock expires, then re-floods" `Quick
+            test_held_deblock_expires_and_refloods;
         ] );
       ( "suppression",
         [
