@@ -1070,18 +1070,42 @@ end = struct
     let cursor = cursor_after ctx st (search_scan ctx st) in
     if cursor = st.State.search_cursor then st else { st with State.search_cursor = cursor }
 
+  (* Can no slot ever start a Search from here?  Every edge is a tree edge,
+     initiated by the other endpoint or not yet heard from.  Anything that
+     would give the node a candidate writes a mirror or its own tree
+     variables, which resets [search_quiet] anyway, so advancing the
+     counter meanwhile changes nothing.  Counter and cursor must be in
+     range: a corrupted value still goes through one normal tick. *)
+  let nothing_to_search ctx (st : State.t) =
+    let deg = Array.length ctx.Node.neighbors in
+    let q = st.State.search_quiet and c = st.State.search_cursor in
+    0 <= q && q < C.search_refresh_every
+    && (deg = 0 || (0 <= c && c < deg))
+    &&
+    let rec none slot =
+      slot >= deg
+      || (State.is_tree_edge ctx st slot
+         || ctx.Node.id > ctx.Node.neighbor_ids.(slot)
+         || not st.State.views.(slot).State.w_fresh)
+         && none (slot + 1)
+    in
+    none 0
+
   (* The tick's Search turn.  [search_quiet] advances by the slots the scan
      visited, or by one when no scan ran, so the window a local change
      opens closes once the cursor has made one full rotation.  On reaching
      [search_refresh_every] — or when corrupted out of range — it wraps to
      0, which reopens the window at least once every that many ticks. *)
   let tick_search ctx (st : State.t) =
-    let tried = search_scan ctx st in
-    let cursor = cursor_after ctx st tried in
-    let q = st.State.search_quiet + max 1 tried in
-    let q = if q < 0 || q >= C.search_refresh_every then 0 else q in
-    if cursor = st.State.search_cursor && q = st.State.search_quiet then st
-    else { st with State.search_cursor = cursor; search_quiet = q }
+    if nothing_to_search ctx st then st
+    else begin
+      let tried = search_scan ctx st in
+      let cursor = cursor_after ctx st tried in
+      let q = st.State.search_quiet + max 1 tried in
+      let q = if q < 0 || q >= C.search_refresh_every then 0 else q in
+      if cursor = st.State.search_cursor && q = st.State.search_quiet then st
+      else { st with State.search_cursor = cursor; search_quiet = q }
+    end
 
   (* ---------------------------------------------------------------- *)
   (* Event handlers                                                    *)

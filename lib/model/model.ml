@@ -755,16 +755,32 @@ let cursor_after l (st : State.t) tried =
 let maybe_start_search l (st : State.t) =
   { st with State.search_cursor = cursor_after l st (search_scan l st) }
 
+(* No slot could ever start a Search (every edge a tree edge, initiated
+   by the other endpoint or unheard): the tick leaves the state alone,
+   counter included, once counter and cursor are in range. *)
+let nothing_to_search l (st : State.t) =
+  let deg = Array.length l.nbrs in
+  let q = st.State.search_quiet and c = st.State.search_cursor in
+  0 <= q && q < l.p.search_refresh_every
+  && (deg = 0 || (0 <= c && c < deg))
+  && List.for_all
+       (fun slot ->
+         is_tree_edge l st slot || l.id > l.nbr_ids.(slot) || not st.State.views.(slot).State.w_fresh)
+       (slots l)
+
 (* The tick's turn: the quiet counter advances by the slots scanned (one
    when no scan ran) and wraps to 0 outside [0, search_refresh_every). *)
 let tick_search l (st : State.t) =
-  let tried = search_scan l st in
-  let q = st.State.search_quiet + max 1 tried in
-  {
-    st with
-    State.search_cursor = cursor_after l st tried;
-    search_quiet = (if 0 <= q && q < l.p.search_refresh_every then q else 0);
-  }
+  if nothing_to_search l st then st
+  else begin
+    let tried = search_scan l st in
+    let q = st.State.search_quiet + max 1 tried in
+    {
+      st with
+      State.search_cursor = cursor_after l st tried;
+      search_quiet = (if 0 <= q && q < l.p.search_refresh_every then q else 0);
+    }
+  end
 
 (* ---------------------------------------------------------------- *)
 (* Event handlers                                                    *)

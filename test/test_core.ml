@@ -860,6 +860,25 @@ let test_search_gate_unchanged_info_is_free () =
         (PD.on_message ctx st ~src repeat == st))
     [ 0; 2; 3 ]
 
+(* A node none of whose edges could start a Search (here: the edge to 3
+   turned into a tree edge) ticks without touching its state, counter
+   included; a corrupted counter is normalised by one tick first. *)
+let test_search_gate_nothing_to_search_is_free () =
+  let ctx, st, searches = search_rig ~quiet:1000 () in
+  let views = Array.copy st.State.views in
+  views.(2) <- { views.(2) with State.w_parent = 1; w_dist = 2 };
+  let st = PD.on_tick ctx { st with State.views } in
+  Alcotest.(check int) "corrupted counter wrapped" 0 st.State.search_quiet;
+  let rec go st i =
+    if i <= 2 * refresh then begin
+      let st' = PD.on_tick ctx st in
+      check (Printf.sprintf "tick %d returns the same state" i) true (st' == st);
+      go st' (i + 1)
+    end
+  in
+  go st 1;
+  check "no search sent" true (!searches = [])
+
 (* A Deblock already held is neither re-flooded nor refreshed: it runs out
    after deblock_ttl ticks and the next request floods the subtree again,
    so the copies below a node that keeps being asked do not lapse for
@@ -943,6 +962,8 @@ let () =
             test_search_gate_local_changes;
           Alcotest.test_case "unchanged Info allocates nothing" `Quick
             test_search_gate_unchanged_info_is_free;
+          Alcotest.test_case "nothing to search allocates nothing" `Quick
+            test_search_gate_nothing_to_search_is_free;
           Alcotest.test_case "held Deblock expires, then re-floods" `Quick
             test_held_deblock_expires_and_refloods;
         ] );
