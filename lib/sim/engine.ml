@@ -45,6 +45,9 @@ module Make (A : Node.AUTOMATON) = struct
     lat_span : float;  (* hi -. lo, precomputed *)
     tick_period : float;
     rng : Prng.t;
+    lat_rngs : Prng.t array;
+        (* Per-node latency streams, split from the root after create's
+           draws: a send's delay depends on its sender's history only. *)
     states : A.state array;
     ctxs : A.msg Node.ctx array;
     heap : tagged Heap.t;
@@ -60,6 +63,9 @@ module Make (A : Node.AUTOMATON) = struct
     mutable deliveries : int;
     mutable observer : (observation -> unit) option;
     mutable faults : faults option;
+    mutable windows_closed : bool;
+        (* No queued event is old enough to send inside a channel event's
+           window any more; see [faults_pending]. *)
     mutable tampered_until : float;
         (* Latest arrival time of any message a fault-plan channel event
            created or modified (corrupted payloads, duplicate copies,
@@ -100,11 +106,11 @@ module Make (A : Node.AUTOMATON) = struct
   let fresh_floors graph =
     Array.init (Graph.n graph) (fun u -> Array.make (Graph.degree graph u) neg_infinity)
 
-  (* [rng] (default: the engine's stream) feeds the latency draw; fault
-     primitives pass their own stream so they do not shift the fault-free
-     schedule. *)
+  (* [rng] (default: the sender's latency stream) feeds the latency draw;
+     fault primitives pass their own stream so they do not shift the
+     fault-free schedule. *)
   let enqueue_raw t ?extra_delay ?rng ~src ~dst msg =
-    let rng = match rng with Some r -> r | None -> t.rng in
+    let rng = match rng with Some r -> r | None -> t.lat_rngs.(src) in
     let lat =
       if t.lat_uniform then
         (* Exactly [lo +. Prng.float rng (hi -. lo)], with the float kept
@@ -146,20 +152,20 @@ module Make (A : Node.AUTOMATON) = struct
         | [] -> ignore (enqueue_raw t ?rng ~src ~dst msg)
         | (ev, erng) :: rest -> (
             match (ev : Fault.event) with
-            | Drop f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
+            | Drop f when in_window f.window t.current_tag && Prng.bernoulli erng f.prob ->
                 fs.stats <- { fs.stats with Fault.drops = fs.stats.Fault.drops + 1 };
                 note t ~kind:"drop" ~detail:chan
-            | Duplicate f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
+            | Duplicate f when in_window f.window t.current_tag && Prng.bernoulli erng f.prob ->
                 fs.stats <- { fs.stats with Fault.duplicates = fs.stats.Fault.duplicates + 1 };
                 note t ~kind:"dup" ~detail:(fun () -> Printf.sprintf "%s x%d" (chan ()) f.copies);
                 for _ = 0 to f.copies do
                   mark (enqueue_raw t ?rng ~src ~dst msg)
                 done
-            | Reorder f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
+            | Reorder f when in_window f.window t.current_tag && Prng.bernoulli erng f.prob ->
                 fs.stats <- { fs.stats with Fault.reorders = fs.stats.Fault.reorders + 1 };
                 note t ~kind:"reorder" ~detail:chan;
                 mark (enqueue_raw t ~extra_delay:(Prng.float erng f.delay) ?rng ~src ~dst msg)
-            | Corrupt f when in_window f.window t.round && Prng.bernoulli erng f.prob -> (
+            | Corrupt f when in_window f.window t.current_tag && Prng.bernoulli erng f.prob -> (
                 match A.random_msg t.ctxs.(src) erng with
                 | Some msg' ->
                     fs.stats <-
@@ -217,6 +223,7 @@ module Make (A : Node.AUTOMATON) = struct
         lat_span;
         tick_period;
         rng;
+        lat_rngs = Array.make n rng (* replaced below *);
         states = Array.make n (Obj.magic 0);
         ctxs = Array.make n (Obj.magic 0);
         heap = Heap.create ~capacity:(4 * n) ();
@@ -228,6 +235,7 @@ module Make (A : Node.AUTOMATON) = struct
         deliveries = 0;
         observer = None;
         faults = None;
+        windows_closed = false;
         tampered_until = neg_infinity;
       }
     in
@@ -263,6 +271,9 @@ module Make (A : Node.AUTOMATON) = struct
     (* Arm the periodic timers with a random phase each. *)
     for i = 0 to n - 1 do
       Heap.push t.heap ~prio:(Prng.float rng tick_period) (Tick { node = i; tag = 1 })
+    done;
+    for i = 0 to n - 1 do
+      t.lat_rngs.(i) <- Prng.split rng
     done;
     t
 
@@ -385,14 +396,45 @@ module Make (A : Node.AUTOMATON) = struct
              (r, ev, Fault.rng_for plan ev))
            scheduled)
     in
+    t.windows_closed <- false;
     t.faults <- Some { by_channel; pending; fremap = remap; stats = Fault.zero_stats }
 
   let fault_stats t = match t.faults with None -> Fault.zero_stats | Some fs -> fs.stats
 
+  (* A channel event's window is compared against the causal round of the
+     sending event, which can lag [rounds]: the windows stay open while
+     a queued event is old enough to send inside one.  Event tags never
+     fall below the least queued one, so once closed they stay closed. *)
+  let windows_open t fs =
+    (not t.windows_closed)
+    && begin
+         let last =
+           Hashtbl.fold
+             (fun _ evs acc ->
+               List.fold_left
+                 (fun acc ((ev : Fault.event), _) ->
+                   match ev with
+                   | Drop { window; _ } | Duplicate { window; _ } | Reorder { window; _ }
+                   | Corrupt { window; _ } ->
+                       max acc window.upto_round
+                   | Crash _ | Cut _ | Link _ -> acc)
+                 acc evs)
+             fs.by_channel min_int
+         in
+         let oldest =
+           List.fold_left
+             (fun acc (_, ev) ->
+               min acc (match ev with Tick { tag; _ } | Deliver { tag; _ } -> tag))
+             t.round (Heap.to_list t.heap)
+         in
+         if oldest > last then t.windows_closed <- true;
+         not t.windows_closed
+       end
+
   let faults_pending t =
     match t.faults with
     | None -> false
-    | Some fs -> fs.pending <> [] || t.now <= t.tampered_until
+    | Some fs -> fs.pending <> [] || t.now <= t.tampered_until || windows_open t fs
 
   let skip fs t ~detail =
     fs.stats <- { fs.stats with Fault.skipped = fs.stats.Fault.skipped + 1 };

@@ -112,6 +112,8 @@ module Make (A : Node.AUTOMATON) = struct
     mutable horizon : float;  (* virtual time the run is complete up to *)
     mutable poisoned : bool;  (* a window died; the state is not trustworthy *)
     mutable faults : faults option;
+    mutable plan_events : Fault.event list;
+    mutable windows_closed : bool;
     abort : bool Atomic.t;
     done_count : int Atomic.t;
     failure : (exn * Printexc.raw_backtrace) option Atomic.t;
@@ -221,18 +223,18 @@ module Make (A : Node.AUTOMATON) = struct
         | [] -> ignore (enqueue_raw t sh ?rng ~src ~dst msg)
         | (ev, erng) :: rest -> (
             match (ev : Fault.event) with
-            | Drop f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
+            | Drop f when in_window f.window sh.current_tag && Prng.bernoulli erng f.prob ->
                 sh.fstats <- { sh.fstats with Fault.drops = sh.fstats.Fault.drops + 1 }
-            | Duplicate f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
+            | Duplicate f when in_window f.window sh.current_tag && Prng.bernoulli erng f.prob ->
                 sh.fstats <-
                   { sh.fstats with Fault.duplicates = sh.fstats.Fault.duplicates + 1 };
                 for _ = 0 to f.copies do
                   mark (enqueue_raw t sh ?rng ~src ~dst msg)
                 done
-            | Reorder f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
+            | Reorder f when in_window f.window sh.current_tag && Prng.bernoulli erng f.prob ->
                 sh.fstats <- { sh.fstats with Fault.reorders = sh.fstats.Fault.reorders + 1 };
                 mark (enqueue_raw t sh ~extra_delay:(Prng.float erng f.delay) ?rng ~src ~dst msg)
-            | Corrupt f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob -> (
+            | Corrupt f when in_window f.window sh.current_tag && Prng.bernoulli erng f.prob -> (
                 match A.random_msg t.ctxs.(src) erng with
                 | Some msg' ->
                     sh.fstats <-
@@ -343,6 +345,8 @@ module Make (A : Node.AUTOMATON) = struct
         horizon = 0.0;
         poisoned = false;
         faults = None;
+        plan_events = [];
+        windows_closed = false;
         abort = Atomic.make false;
         done_count = Atomic.make 0;
         failure = Atomic.make None;
@@ -563,6 +567,8 @@ module Make (A : Node.AUTOMATON) = struct
           Hashtbl.replace by_channel key (prev @ [ (ev, Fault.rng_for plan ev) ])
         end)
       plan.Fault.events;
+    t.plan_events <- plan.Fault.events;
+    t.windows_closed <- false;
     t.faults <- Some { by_channel }
 
   let fault_stats t =
@@ -581,9 +587,37 @@ module Make (A : Node.AUTOMATON) = struct
         })
       Fault.zero_stats t.shards
 
+  (* As in [Engine.faults_pending]: the windows stay open while a queued
+     event is old enough to send inside one. *)
+  let windows_open t =
+    (not t.windows_closed)
+    && begin
+         let last =
+           List.fold_left
+             (fun acc (ev : Fault.event) ->
+               match ev with
+               | Drop { window; _ } | Duplicate { window; _ } | Reorder { window; _ }
+               | Corrupt { window; _ } ->
+                   max acc window.upto_round
+               | Crash _ | Cut _ | Link _ -> acc)
+             min_int t.plan_events
+         in
+         let oldest =
+           Array.fold_left
+             (fun acc sh ->
+               List.fold_left
+                 (fun acc (_, ev) ->
+                   min acc (match ev with Tick { tag; _ } | Deliver { tag; _ } -> tag))
+                 acc (Heap.to_list sh.heap))
+             (rounds t) t.shards
+         in
+         if oldest > last then t.windows_closed <- true;
+         not t.windows_closed
+       end
+
   let faults_pending t =
     t.faults <> None
-    && Array.exists (fun sh -> t.horizon <= sh.tampered_until) t.shards
+    && (Array.exists (fun sh -> t.horizon <= sh.tampered_until) t.shards || windows_open t)
 
   (* ---------------------------------------------------------------- *)
   (* Recorded schedule. *)

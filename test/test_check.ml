@@ -332,7 +332,7 @@ let test_choosers_agree () =
   let module Mutation = Mdst_util.Mutation in
   Fun.protect ~finally:(fun () -> Mutation.force None) @@ fun () ->
   Mutation.force (Some [ "suppression-no-refresh" ]);
-  choosers_agree ~variant:`Suppressed ~expect:(Some 61)
+  choosers_agree ~variant:`Suppressed ~expect:(Some 58)
     "n=3;edges=0-1,1-2;seed=5;init=clean;events=400"
 
 let test_explore_smoke () =

@@ -326,10 +326,10 @@ let matrix =
       (124, 2, 47, 1) );
     ( "petersen cut+link",
       "n=10;edges=0-1,1-2,2-3,3-4,0-4,0-5,1-6,2-7,3-8,4-9,5-7,7-9,9-6,6-8,8-5;seed=9;plan=seed=4|cut:40:0-1|link:90:0-2",
-      (140, 2, 1, 1) );
+      (140, 3, 1, 1) );
     ( "grid9 corrupt+reorder",
       "n=9;edges=0-1,1-2,3-4,4-5,6-7,7-8,0-3,3-6,1-4,4-7,2-5,5-8;seed=13;plan=seed=8|corrupt:0-60:4>1:0.75|reorder:0-120:1>4:0.5:6",
-      (144, 2, 50, 65) );
+      (134, 2, 50, 63) );
     (* the cut that exposed the stop-check vs scheduled-fault race *)
     ( "n7 cut race",
       "n=7;ids=5,1,3,4,0,7,2;edges=0-1,0-5,1-4,2-5,2-6,3-4,4-6;seed=341458;plan=seed=711241|cut:208:2-5",
