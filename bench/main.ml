@@ -58,7 +58,7 @@ let bench_engine_steps =
     (Staged.stage (fun () ->
          let e = Mdst_core.Run.make_engine ~seed:3 g in
          for _ = 1 to 1000 do
-           ignore (Mdst_core.Run.Engine.step e)
+           ignore (Mdst_core.Run.Sim.step e)
          done))
 
 let bench_full_convergence =
@@ -78,9 +78,9 @@ let bench_checker =
   let g = Gen.erdos_renyi_connected (Prng.create 9) ~n:32 ~p:0.15 in
   let e = Mdst_core.Run.make_engine ~seed:4 g in
   for _ = 1 to 20_000 do
-    ignore (Mdst_core.Run.Engine.step e)
+    ignore (Mdst_core.Run.Sim.step e)
   done;
-  let states = Mdst_core.Run.Engine.states e in
+  let states = Mdst_core.Run.Sim.states e in
   Test.make ~name:"E-substrate: global legitimacy check (n=32)"
     (Staged.stage (fun () -> ignore (Mdst_core.Checker.legitimate g states)))
 
@@ -88,9 +88,9 @@ let bench_sync_rounds =
   let g = Gen.erdos_renyi_connected (Prng.create 10) ~n:24 ~p:0.2 in
   Test.make ~name:"E12: 50 synchronous rounds (n=24)"
     (Staged.stage (fun () ->
-         let e = Mdst_core.Sync_run.Engine.create ~seed:3 g in
+         let e = Mdst_core.Run.make_engine ~seed:3 g in
          for _ = 1 to 50 do
-           Mdst_core.Sync_run.Engine.round e
+           Mdst_core.Run.Sim.sync_round e
          done))
 
 let bench_pif_wave =
@@ -106,12 +106,12 @@ let bench_pif_wave =
     let neutral = min_int
   end in
   let module A = Mdst_core.Pif.Make (I) in
-  let module E = Mdst_sim.Engine.Make (A) in
+  let module E = Mdst_sim.Pengine.Make (A) in
   Test.make ~name:"E-substrate: PIF wave to completion (n=16)"
     (Staged.stage (fun () ->
          let e = E.create ~seed:2 g in
          let stop t = (E.state t 0).Mdst_core.Pif.result <> None in
-         ignore (E.run e ~max_rounds:10_000 ~stop ())))
+         ignore (E.run e ~max_rounds:10_000 ~check_every:1 ~stop ())))
 
 let micro_tests =
   [

@@ -5,8 +5,8 @@
      solve        compare FR / exact / naive baselines on one graph
      experiments  regenerate the tables and figures of EXPERIMENTS.md
      bench        engine macro-benchmarks; writes BENCH_engine.json
-     pardet       parallel-determinism check (sharded schedule conformance
-                  + fingerprint equivalence across shard counts)
+     pardet       parallel-determinism check (trace identity + fingerprint
+                  equivalence across shard counts)
      families     list the available graph families and named workloads *)
 
 open Cmdliner
@@ -82,13 +82,11 @@ let faults_arg =
 let domains_arg =
   Arg.(value & opt int 1
        & info [ "domains" ] ~docv:"K"
-           ~doc:"Run the sharded parallel engine on $(docv) domains instead of the \
-                 sequential engine.  The executed schedule is independent of $(docv): any \
-                 two shard counts produce the same rounds, messages and final tree \
-                 (verify with $(b,mdst_sim pardet)).  The parallel engine draws latencies \
-                 from per-node streams, so its schedule differs from the sequential \
-                 default's even though both stabilize the same instance.  $(b,--trace) \
-                 and $(b,--faults) require the sequential engine.")
+           ~doc:"Split the engine into $(docv) shards, each run on its own domain.  The \
+                 execution does not depend on $(docv): events run at the same virtual times \
+                 in the same order (verify with $(b,mdst_sim pardet)); with one shard the \
+                 stop is checked every 2 rounds, with more at window barriers.  Scheduled \
+                 $(b,--faults) events (crash, cut, link) need one shard.")
 
 let run_cmd =
   let action family n seed shuffle input save_graph init latency max_rounds dot no_oracle trace
@@ -101,10 +99,6 @@ let run_cmd =
     | None -> ());
     Printf.printf "graph: %s  n=%d m=%d deg(G)=%d\n%!" family (Graph.n graph) (Graph.m graph)
       (Graph.max_degree graph);
-    if domains > 1 && (faults <> None || trace > 0) then begin
-      prerr_endline "mdst_sim run: --trace and --faults require the sequential engine (--domains 1)";
-      exit 2
-    end;
     let fixpoint =
       if no_oracle then fun _ -> true else fun t -> not (Mdst_baseline.Fr.improvable t)
     in
@@ -115,25 +109,23 @@ let run_cmd =
     let r, final_graph =
       match (plan, trace) with
       | None, t when t <= 0 ->
-          if domains > 1 then
-            (Run.converge_par ~latency ~seed ~init ~max_rounds ~fixpoint ~domains graph, graph)
-          else (Run.converge ~latency ~seed ~init ~max_rounds ~fixpoint graph, graph)
+          (Run.converge ~latency ~seed ~init ~max_rounds ~fixpoint ~domains graph, graph)
       | _ ->
-          let engine = Run.make_engine ~latency ~seed ~init graph in
+          let engine = Run.make_engine ~latency ~seed ~init ~domains graph in
           Option.iter
-            (fun p -> Run.Engine.install_faults engine ~remap:Mdst_core.Transplant.states p)
+            (fun p -> Run.Sim.install_faults engine ~remap:Mdst_core.Transplant.states p)
             plan;
           if trace > 0 then begin
             let remaining = ref trace in
-            Run.Engine.observe engine (function
-              | Mdst_sim.Engine.Obs_deliver { src; dst; label; round; time }
+            Run.Sim.observe engine (function
+              | Mdst_sim.Pengine.Obs_deliver { src; dst; label; round; time }
                 when label <> "info" && !remaining > 0 ->
                   decr remaining;
                   Printf.printf "  [round %5d | t=%8.1f] %-11s %d -> %d\n" round time label src
                     dst
-              | Mdst_sim.Engine.Obs_fault { kind; detail; round; time } ->
+              | Mdst_sim.Pengine.Obs_fault { kind; detail; round; time } ->
                   Printf.printf "  [round %5d | t=%8.1f] fault:%-5s %s\n" round time kind detail
-              | Mdst_sim.Engine.Obs_deliver _ | Mdst_sim.Engine.Obs_tick _ -> ())
+              | Mdst_sim.Pengine.Obs_deliver _ | Mdst_sim.Pengine.Obs_tick _ -> ())
           end;
           (* Convergence only counts once the adversary is done: strictly
              past the last fault round, with no scheduled event waiting. *)
@@ -143,16 +135,16 @@ let run_cmd =
           let base_stop = Run.make_stop ~fixpoint () in
           let stop e =
             let held = base_stop e in
-            held && Run.Engine.rounds e > last_fault && not (Run.Engine.faults_pending e)
+            held && Run.Sim.rounds e > last_fault && not (Run.Sim.faults_pending e)
           in
-          let outcome = Run.Engine.run engine ~max_rounds ~check_every:2 ~stop () in
-          if trace > 0 then Run.Engine.unobserve engine;
+          let outcome = Run.Sim.run engine ~max_rounds ~check_every:2 ~stop () in
+          if trace > 0 then Run.Sim.unobserve engine;
           (match plan with
           | Some _ ->
               Format.printf "faults applied: %a@." Mdst_sim.Fault.pp_stats
-                (Run.Engine.fault_stats engine)
+                (Run.Sim.fault_stats engine)
           | None -> ());
-          (Run.snapshot engine ~converged:outcome.converged, Run.Engine.graph engine)
+          (Run.snapshot engine ~converged:outcome.converged, Run.Sim.graph engine)
     in
     Printf.printf "converged: %b\nrounds: %d\nvirtual time: %.1f\nmessages: %d (%d bits)\n"
       r.converged r.rounds r.time r.total_messages r.total_bits;
@@ -364,7 +356,7 @@ let pardet_cmd =
   let until_arg =
     Arg.(value & opt float 40.0
          & info [ "until" ] ~docv:"T"
-             ~doc:"Virtual-time horizon of the recorded conformance run.")
+             ~doc:"Virtual-time horizon of the recorded runs.")
   in
   let max_rounds_arg =
     Arg.(value & opt int Run.default_max_rounds
@@ -385,21 +377,17 @@ let pardet_cmd =
       (match init with `Clean -> "clean" | `Random -> "random");
     let module P = Mdst_check.Parcheck in
     let failures = ref 0 in
-    (* Sharded-schedule conformance: the merged (time, shard, seq) schedule
-       of every k>1 run must replay through the reference model and the
-       sequential engine.  k=1 is the definitional baseline — skipped. *)
-    List.iter
-      (fun d ->
-        if d > 1 then begin
-          let r = P.Default.run_case { P.graph; seed; init; domains = d; until } in
-          match r.P.failure with
-          | None ->
-              Printf.printf "  conformance domains=%d: OK (%d events replayed)\n%!" d r.P.events
-          | Some why ->
-              incr failures;
-              Printf.printf "  conformance domains=%d: FAIL — %s\n%!" d why
-        end)
-      domains;
+    (* Trace identity: the recorded schedule and final states of a
+       window-driven run must not depend on the shard count. *)
+    (let r = P.Default.run_case { P.graph; seed; init; domains; until } in
+     match r.P.failure with
+     | None ->
+         Printf.printf "  trace: identical at domains=%s (%d events)\n%!"
+           (String.concat "," (List.map string_of_int domains))
+           r.P.events
+     | Some why ->
+         incr failures;
+         Printf.printf "  trace: FAIL — %s\n%!" why);
     let eq = P.Default.fingerprint_equivalence ~max_rounds ~seed ~init ~domains graph in
     List.iter
       (fun (d, converged, fp) ->
@@ -419,9 +407,9 @@ let pardet_cmd =
   in
   Cmd.v
     (Cmd.info "pardet"
-       ~doc:"Parallel-determinism check: replay a sharded run's merged schedule through the \
-             reference model and the sequential engine, then converge the same instance \
-             under several shard counts and require identical quiescence fingerprints.  \
+       ~doc:"Parallel-determinism check: record a run to the horizon under each shard \
+             count and require identical schedules and final states, then converge the same \
+             instance under each shard count and require identical quiescence fingerprints.  \
              Non-zero exit on any divergence.")
     term
 

@@ -14,7 +14,7 @@
 module Graph = Mdst_graph.Graph
 module Tree = Mdst_graph.Tree
 module Run = Mdst_core.Run
-module Engine = Run.Engine
+module Sim = Run.Sim
 module Transplant = Mdst_core.Transplant
 
 let fixpoint t = not (Mdst_baseline.Fr.improvable t)
@@ -24,10 +24,10 @@ let converge_on ?(states = None) graph =
     match states with
     | None -> Run.make_engine ~seed:9 graph
     | Some arr ->
-        Engine.create ~seed:10 ~init:(`Custom (fun ctx _ -> arr.(ctx.Mdst_sim.Node.node))) graph
+        Sim.create ~seed:10 ~init:(`Custom (fun ctx _ -> arr.(ctx.Mdst_sim.Node.node))) graph
   in
   let stop = Run.make_stop ~fixpoint () in
-  let o = Engine.run engine ~max_rounds:40_000 ~check_every:2 ~stop () in
+  let o = Sim.run engine ~max_rounds:40_000 ~check_every:2 ~stop () in
   (engine, o)
 
 let () =
@@ -37,7 +37,7 @@ let () =
 
   let engine, o1 = converge_on graph in
   let tree =
-    match Mdst_core.Checker.tree_of_states graph (Engine.states engine) with
+    match Mdst_core.Checker.tree_of_states graph (Sim.states engine) with
     | Some t -> t
     | None -> failwith "did not converge; raise max_rounds"
   in
@@ -49,11 +49,11 @@ let () =
   | Some (graph', (u, v)) ->
       Printf.printf "link failure: tree edge %d--%d vanishes (subtree orphaned)\n" u v;
       let moved =
-        Transplant.states ~old_graph:graph ~new_graph:graph' (Engine.states engine)
+        Transplant.states ~old_graph:graph ~new_graph:graph' (Sim.states engine)
       in
       let engine', o2 = converge_on ~states:(Some moved) graph' in
       let deg =
-        match Mdst_core.Checker.tree_degree_now graph' (Engine.states engine') with
+        match Mdst_core.Checker.tree_degree_now graph' (Sim.states engine') with
         | Some d -> string_of_int d
         | None -> "?"
       in
@@ -65,10 +65,10 @@ let () =
   | None -> print_endline "graph already complete"
   | Some (graph', (u, v)) ->
       Printf.printf "new link: %d--%d appears\n" u v;
-      let moved = Transplant.states ~old_graph:graph ~new_graph:graph' (Engine.states engine) in
+      let moved = Transplant.states ~old_graph:graph ~new_graph:graph' (Sim.states engine) in
       let engine', o3 = converge_on ~states:(Some moved) graph' in
       let deg =
-        match Mdst_core.Checker.tree_degree_now graph' (Engine.states engine') with
+        match Mdst_core.Checker.tree_degree_now graph' (Sim.states engine') with
         | Some d -> string_of_int d
         | None -> "?"
       in

@@ -7,8 +7,8 @@
    serialize these points to BENCH_engine.json so regressions in the
    delivery hot path or the memory model are visible across commits.
 
-   Since schema v2 the sweep also measures the sharded parallel engine
-   ({!Mdst_sim.Pengine}) at several domain counts: each parallel point
+   Since schema v2 the sweep also measures the engine's parallel windows
+   ({!Mdst_sim.Pengine.Make.run_window}) at several domain counts: each parallel point
    carries a [speedup] against the sequential engine on the same
    (topology, n), and the header records how many cores the machine
    actually had — a speedup measured on fewer cores than domains is an
@@ -28,7 +28,7 @@ type point = {
   topology : string;
   n : int;
   m : int;
-  domains : int;  (** 1 = the sequential engine, >1 = Pengine shards *)
+  domains : int;  (** shards: 1 = sequential stepping, >1 = parallel windows *)
   events : int;  (** engine events processed during the timed window *)
   elapsed_s : float;
   events_per_sec : float;
@@ -65,7 +65,7 @@ let bench_point ~topology ~events graph =
   let engine = Run.make_engine ~seed:11 ~init:`Clean graph in
   let t0 = Unix.gettimeofday () in
   let stepped = ref 0 in
-  while !stepped < events && Run.Engine.step engine do
+  while !stepped < events && Run.Sim.step engine do
     incr stepped
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -88,13 +88,13 @@ let bench_point ~topology ~events graph =
    the count actually executed. *)
 let bench_point_par ~topology ~events ~domains graph =
   let before = live_bytes () in
-  let engine = Run.make_pengine ~seed:11 ~init:`Clean ~domains graph in
+  let engine = Run.make_engine ~seed:11 ~init:`Clean ~domains graph in
   let t0 = Unix.gettimeofday () in
-  while Run.Pengine.events engine < events do
-    Run.Pengine.run_window engine ~until:(Run.Pengine.now engine +. 8.0)
+  while Run.Sim.events engine < events do
+    Run.Sim.run_window engine ~until:(Run.Sim.now engine +. 8.0)
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
-  let executed = Run.Pengine.events engine in
+  let executed = Run.Sim.events engine in
   let after = live_bytes () in
   ignore (Sys.opaque_identity engine);
   {
@@ -214,12 +214,9 @@ let write_json ~path ?(quick = false) pts =
 
 (* --- Regression guard ----------------------------------------------------- *)
 
-(* Line-oriented reader of the shapes [to_json] emits — one point object
-   per line.  Both the v2 schema (with domains/speedup) and the v1 schema
-   (sequential-only; implies domains=1) parse, so the guard keeps working
-   across the schema bump; other lines (header, closing brackets, future
-   fields) are skipped, degrading to "no baseline points" rather than
-   crashing on drift. *)
+(* Line-oriented reader of the point lines [to_json] emits; other lines
+   (header, closing brackets, future fields) are skipped, degrading to "no
+   baseline points" rather than crashing on drift. *)
 let parse_point_line line =
   match
     Scanf.sscanf line
@@ -229,26 +226,7 @@ let parse_point_line line =
         { topology; n; m; domains; events; elapsed_s; events_per_sec; speedup; engine_bytes })
   with
   | p -> Some p
-  | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> (
-      match
-        Scanf.sscanf line
-          " {\"topology\": %S, \"n\": %d, \"m\": %d, \"events\": %d, \"elapsed_s\": %f, \
-           \"events_per_sec\": %f, \"engine_bytes\": %d"
-          (fun topology n m events elapsed_s events_per_sec engine_bytes ->
-            {
-              topology;
-              n;
-              m;
-              domains = 1;
-              events;
-              elapsed_s;
-              events_per_sec;
-              speedup = 1.0;
-              engine_bytes;
-            })
-      with
-      | p -> Some p
-      | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> None)
+  | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> None
 
 let load_json path =
   let ic = open_in path in

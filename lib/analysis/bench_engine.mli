@@ -8,7 +8,7 @@ type point = {
   topology : string;  (** "er" or "grid" *)
   n : int;
   m : int;
-  domains : int;  (** 1 = the sequential engine, >1 = Pengine shards *)
+  domains : int;  (** shards: 1 = sequential stepping, >1 = parallel windows *)
   events : int;  (** engine events processed during the timed window *)
   elapsed_s : float;
   events_per_sec : float;
@@ -45,8 +45,8 @@ val write_json : path:string -> ?quick:bool -> point list -> unit
 
 val load_json : string -> point list
 (** Read back a BENCH_engine.json written by {!write_json} (line-oriented;
-    v1 points parse as domains=1; unparseable lines are skipped, so schema
-    drift yields an empty list rather than an exception). *)
+    unparseable lines are skipped, so schema drift yields an empty list
+    rather than an exception). *)
 
 val regressions : ?tolerance:float -> baseline:point list -> point list -> string list
 (** [regressions ~baseline fresh] — one human-readable line per benchmark

@@ -68,15 +68,15 @@ struct
     let stop_inner = R.make_stop () in
     let peak = ref 0 in
     let stop t =
-      let p = R.Engine.pending_events t in
+      let p = R.Sim.pending_events t in
       if p > !peak then peak := p;
       stop_inner t
     in
     let t0 = Unix.gettimeofday () in
-    let outcome = R.Engine.run engine ~max_rounds ~check_every:2 ~stop () in
+    let outcome = R.Sim.run engine ~max_rounds ~check_every:2 ~stop () in
     let elapsed = Unix.gettimeofday () -. t0 in
     let alloc1 = Gc.allocated_bytes () in
-    let metrics = R.Engine.metrics engine in
+    let metrics = R.Sim.metrics engine in
     {
       topology;
       n = Graph.n graph;

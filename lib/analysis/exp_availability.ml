@@ -12,7 +12,7 @@
 
 open Exp_common
 module Invariants = Mdst_core.Invariants
-module Engine = Run.Engine
+module Sim = Run.Sim
 
 let watch_run ~seed ~init graph =
   let engine = Run.make_engine ~seed ~init graph in
@@ -22,8 +22,8 @@ let watch_run ~seed ~init graph =
 let watch_repair ~seed graph =
   let engine = Run.make_engine ~seed graph in
   let stop = Run.make_stop ~fixpoint () in
-  ignore (Engine.run engine ~max_rounds:Run.default_max_rounds ~check_every:2 ~stop ());
-  ignore (Engine.corrupt engine ~fraction:0.3 ~channels:true ());
+  ignore (Sim.run engine ~max_rounds:Run.default_max_rounds ~check_every:2 ~stop ());
+  ignore (Sim.corrupt engine ~fraction:0.3 ~channels:true ());
   let stop = Run.make_stop ~fixpoint () in
   Invariants.watch ~engine ~max_rounds:Run.default_max_rounds ~stop ()
 

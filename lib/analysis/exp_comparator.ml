@@ -20,18 +20,18 @@ let bb_first_drop ~cliques ~clique_size ~seed =
   let graph = Gen.star_of_cliques ~cliques ~clique_size in
   let tree = Exp_simultaneous.hubby_tree graph ~cliques ~clique_size in
   let k0 = Mdst_graph.Tree.max_degree tree in
-  let engine = Bb.Engine.create ~seed ~init:(`Custom (Bb.state_of_tree tree)) graph in
+  let engine = Bb.Sim.create ~seed ~init:(`Custom (Bb.state_of_tree tree)) graph in
   let stop t =
-    (match Bb.extract_degree (Bb.Engine.graph t) (Bb.Engine.states t) with
+    (match Bb.extract_degree (Bb.Sim.graph t) (Bb.Sim.states t) with
     | Some k -> k < k0
     | None -> false)
-    || Bb.finished (Bb.Engine.state t (Mdst_graph.Tree.root tree))
+    || Bb.finished (Bb.Sim.state t (Mdst_graph.Tree.root tree))
   in
-  let o = Bb.Engine.run engine ~max_rounds:100_000 ~check_every:2 ~stop () in
+  let o = Bb.Sim.run engine ~max_rounds:100_000 ~check_every:2 ~stop () in
   let dropped =
-    match Bb.extract_degree graph (Bb.Engine.states engine) with Some k -> k < k0 | None -> false
+    match Bb.extract_degree graph (Bb.Sim.states engine) with Some k -> k < k0 | None -> false
   in
-  let bits = Mdst_sim.Metrics.max_state_bits (Bb.Engine.metrics engine) in
+  let bits = Mdst_sim.Metrics.max_state_bits (Bb.Sim.metrics engine) in
   ((if o.converged && dropped then Some o.rounds else None), bits)
 
 let ours_state_bits ~cliques ~clique_size ~seed =

@@ -10,7 +10,7 @@
 
 open Exp_common
 module Gen = Mdst_graph.Gen
-module Engine = Run.Engine
+module Sim = Run.Sim
 
 (* Spanning tree with one deg-(clique_size) node per clique: hub -> node0 of
    each clique -> the rest of its clique, star-wise. *)
@@ -34,11 +34,11 @@ let first_drop_rounds ~cliques ~clique_size ~seed =
   let k0 = Mdst_graph.Tree.max_degree tree in
   let engine = Run.make_engine ~seed ~init:(`Tree tree) graph in
   let stop t =
-    match Mdst_core.Checker.tree_degree_now (Engine.graph t) (Engine.states t) with
+    match Mdst_core.Checker.tree_degree_now (Sim.graph t) (Sim.states t) with
     | Some k -> k < k0
     | None -> false
   in
-  let outcome = Engine.run engine ~max_rounds:20_000 ~check_every:2 ~stop () in
+  let outcome = Sim.run engine ~max_rounds:20_000 ~check_every:2 ~stop () in
   (k0, (if outcome.converged then Some outcome.rounds else None))
 
 let run ?(quick = false) () =

@@ -14,7 +14,7 @@
 
 open Exp_common
 module Transplant = Mdst_core.Transplant
-module Engine = Run.Engine
+module Sim = Run.Sim
 module Graceful_runner = Run.Runner (Mdst_core.Proto.Graceful)
 module Watch_default = Mdst_core.Invariants.Watch (Mdst_core.Proto.Default)
 module Watch_graceful = Mdst_core.Invariants.Watch (Mdst_core.Proto.Graceful)
@@ -26,10 +26,10 @@ let repair_measurement ~seed graph =
   (* Converge once under the default protocol. *)
   let engine = Run.make_engine ~seed graph in
   let stop = Run.make_stop ~fixpoint () in
-  let o1 = Engine.run engine ~max_rounds:Run.default_max_rounds ~check_every:2 ~stop () in
+  let o1 = Sim.run engine ~max_rounds:Run.default_max_rounds ~check_every:2 ~stop () in
   if not o1.converged then None
   else begin
-    let states = Array.copy (Engine.states engine) in
+    let states = Array.copy (Sim.states engine) in
     (* Adversarial failure: orphan the largest subtree. *)
     match
       Option.bind
@@ -41,25 +41,25 @@ let repair_measurement ~seed graph =
         let moved = Transplant.states ~old_graph:graph ~new_graph:graph' states in
         let init = `Custom (fun ctx _ -> moved.(ctx.Mdst_sim.Node.node)) in
         let default_arm =
-          let e = Watch_default.Engine.create ~seed:(seed + 1) ~init graph' in
+          let e = Watch_default.Sim.create ~seed:(seed + 1) ~init graph' in
           let stop = Run.make_stop ~fixpoint () in
           let r =
             Watch_default.watch ~engine:e ~max_rounds:Run.default_max_rounds ~stop ()
           in
           {
-            rounds = (if r.final_spanning then Some (Watch_default.Engine.rounds e) else None);
+            rounds = (if r.final_spanning then Some (Watch_default.Sim.rounds e) else None);
             availability = r.availability;
             outage = r.longest_outage;
           }
         in
         let graceful_arm =
-          let e = Watch_graceful.Engine.create ~seed:(seed + 1) ~init graph' in
+          let e = Watch_graceful.Sim.create ~seed:(seed + 1) ~init graph' in
           let stop = Graceful_runner.make_stop ~fixpoint () in
           let r =
             Watch_graceful.watch ~engine:e ~max_rounds:Run.default_max_rounds ~stop ()
           in
           {
-            rounds = (if r.final_spanning then Some (Watch_graceful.Engine.rounds e) else None);
+            rounds = (if r.final_spanning then Some (Watch_graceful.Sim.rounds e) else None);
             availability = r.availability;
             outage = r.longest_outage;
           }

@@ -14,7 +14,7 @@
 
 open Exp_common
 module Transplant = Mdst_core.Transplant
-module Engine = Run.Engine
+module Sim = Run.Sim
 module Prng = Mdst_util.Prng
 
 type change = Remove_tree_edge | Add_edge
@@ -24,10 +24,10 @@ let change_name = function Remove_tree_edge -> "remove tree edge" | Add_edge -> 
 let run_change ~seed ~change graph =
   let engine = Run.make_engine ~seed graph in
   let stop = Run.make_stop ~fixpoint () in
-  let o1 = Engine.run engine ~max_rounds:Run.default_max_rounds ~check_every:2 ~stop () in
+  let o1 = Sim.run engine ~max_rounds:Run.default_max_rounds ~check_every:2 ~stop () in
   if not o1.converged then None
   else begin
-    let states = Array.copy (Engine.states engine) in
+    let states = Array.copy (Sim.states engine) in
     let rng = Prng.create (seed * 97) in
     let mutation =
       match change with
@@ -42,17 +42,17 @@ let run_change ~seed ~change graph =
     | Some (new_graph, edge) ->
         let moved = Transplant.states ~old_graph:graph ~new_graph states in
         let engine2 =
-          Engine.create ~seed:(seed + 1)
+          Sim.create ~seed:(seed + 1)
             ~init:(`Custom (fun ctx _ -> moved.(ctx.Mdst_sim.Node.node)))
             new_graph
         in
         let stop2 = Run.make_stop ~fixpoint () in
         let o2 =
-          Engine.run engine2 ~max_rounds:Run.default_max_rounds ~check_every:2 ~stop:stop2 ()
+          Sim.run engine2 ~max_rounds:Run.default_max_rounds ~check_every:2 ~stop:stop2 ()
         in
         ignore edge;
         let degree =
-          Mdst_core.Checker.tree_degree_now new_graph (Engine.states engine2)
+          Mdst_core.Checker.tree_degree_now new_graph (Sim.states engine2)
         in
         Some (o1.rounds, (if o2.converged then Some o2.rounds else None), degree)
   end

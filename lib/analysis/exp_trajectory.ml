@@ -5,7 +5,7 @@
    re-oriented are part of the picture and are shown as "-". *)
 
 open Exp_common
-module Engine = Run.Engine
+module Sim = Run.Sim
 module Gen = Mdst_graph.Gen
 module Algo = Mdst_graph.Algo
 
@@ -16,17 +16,17 @@ let trajectory graph ~init ~seed ~max_rounds =
   let stop_oracle = Run.make_stop ~fixpoint () in
   let stop t =
     let deg =
-      match Mdst_core.Checker.tree_degree_now (Engine.graph t) (Engine.states t) with
+      match Mdst_core.Checker.tree_degree_now (Sim.graph t) (Sim.states t) with
       | Some k -> k
       | None -> -1
     in
     if deg <> !last_deg then begin
       last_deg := deg;
-      samples := (Engine.rounds t, deg) :: !samples
+      samples := (Sim.rounds t, deg) :: !samples
     end;
     stop_oracle t
   in
-  ignore (Engine.run engine ~max_rounds ~check_every:2 ~stop ());
+  ignore (Sim.run engine ~max_rounds ~check_every:2 ~stop ());
   List.rev !samples
 
 let star_tree graph =

@@ -572,7 +572,7 @@ type result = {
   phases_run : int;
 }
 
-module Engine = Mdst_sim.Engine.Make (Automaton)
+module Sim = Mdst_sim.Pengine.Make (Automaton)
 
 let extract_degree graph states =
   let n = Graph.n graph in
@@ -603,15 +603,15 @@ let converge ?(latency = Mdst_sim.Latency.uniform ()) ?(seed = 42) ?(max_rounds 
   let root = Graph.min_id_node graph in
   let tree = match tree with Some t -> t | None -> Mdst_graph.Algo.bfs_tree graph ~root in
   let root = Tree.root tree in
-  let engine = Engine.create ~latency ~seed ~init:(`Custom (state_of_tree tree)) graph in
-  let root_done t = finished (Engine.state t root) in
-  let outcome = Engine.run engine ~max_rounds ~check_every:2 ~stop:root_done () in
-  let metrics = Engine.metrics engine in
+  let engine = Sim.create ~latency ~seed ~init:(`Custom (state_of_tree tree)) graph in
+  let root_done t = finished (Sim.state t root) in
+  let outcome = Sim.run engine ~max_rounds ~check_every:2 ~stop:root_done () in
+  let metrics = Sim.metrics engine in
   {
     converged = outcome.converged;
     rounds = outcome.rounds;
-    degree = extract_degree graph (Engine.states engine);
+    degree = extract_degree graph (Sim.states engine);
     total_messages = Mdst_sim.Metrics.total_messages metrics;
     max_state_bits = Mdst_sim.Metrics.max_state_bits metrics;
-    phases_run = phases (Engine.state engine root);
+    phases_run = phases (Sim.state engine root);
   }

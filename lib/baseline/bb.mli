@@ -61,7 +61,7 @@ val converge :
 
 (** Lower-level access for bespoke experiments (e.g. E14 drives the engine
     manually to time the first degree drop). *)
-module Engine : module type of Mdst_sim.Engine.Make (Automaton)
+module Sim : module type of Mdst_sim.Pengine.Make (Automaton)
 
 val extract_degree : Mdst_graph.Graph.t -> state array -> int option
 

@@ -95,14 +95,14 @@ module Harness (A : Mdst_sim.Node.AUTOMATON
                    and type msg = Mdst_core.Msg.t) =
 struct
   module R = Run.Runner (A)
-  module Engine = R.Engine
+  module Sim = R.Sim
 
   let fixpoint tree = not (Fr.improvable tree)
 
   let run_case ?(budget = default_budget) ?(init : [ `Clean | `Random ] = `Random)
-      ?(prefix = ignore) case =
-    let engine = R.make_engine ~seed:case.seed ~init:(init :> Run.init) case.graph in
-    Engine.install_faults engine ~remap:Mdst_core.Transplant.states case.plan;
+      ?(prefix = ignore) ?domains case =
+    let engine = R.make_engine ~seed:case.seed ~init:(init :> Run.init) ?domains case.graph in
+    Sim.install_faults engine ~remap:Mdst_core.Transplant.states case.plan;
     prefix engine;
     let last_fault_round = Fault.last_fault_round case.plan in
     let max_rounds =
@@ -122,13 +122,13 @@ struct
     let stop e =
       let held = base_stop e in
       held
-      && Engine.rounds e > last_fault_round
-      && (Mdst_util.Mutation.enabled "stop-check-race" || not (Engine.faults_pending e))
+      && Sim.rounds e > last_fault_round
+      && (Mdst_util.Mutation.enabled "stop-check-race" || not (Sim.faults_pending e))
     in
-    let outcome = Engine.run engine ~max_rounds ~check_every:2 ~stop () in
-    let outstanding = outcome.converged && Engine.faults_pending engine in
-    let final_graph = Engine.graph engine in
-    let degree = Checker.tree_degree_now final_graph (Engine.states engine) in
+    let outcome = Sim.run engine ~max_rounds ~check_every:2 ~stop () in
+    let outstanding = outcome.converged && Sim.faults_pending engine in
+    let final_graph = Sim.graph engine in
+    let degree = Checker.tree_degree_now final_graph (Sim.states engine) in
     let fr_degree = Tree.max_degree (Fr.approx_mdst final_graph) in
     let closure_ok =
       if outstanding || not outcome.converged then true
@@ -136,16 +136,16 @@ struct
         (* Closure: nothing fingerprinted may move once legitimate —
            self-stabilizing protocols keep gossiping and searching, but no
            swap may commit any more. *)
-        let fp = Checker.fingerprint (Engine.states engine) in
+        let fp = Checker.fingerprint (Sim.states engine) in
         let _ =
-          Engine.run engine
-            ~max_rounds:(Engine.rounds engine + budget.closure_rounds)
+          Sim.run engine
+            ~max_rounds:(Sim.rounds engine + budget.closure_rounds)
             ~check_every:4
             ~stop:(fun _ -> false)
             ()
         in
-        Checker.fingerprint (Engine.states engine) = fp
-        && Checker.legitimate final_graph (Engine.states engine)
+        Checker.fingerprint (Sim.states engine) = fp
+        && Checker.legitimate final_graph (Sim.states engine)
       end
     in
     {
@@ -156,7 +156,7 @@ struct
       degree;
       fr_degree;
       closure_ok;
-      stats = Engine.fault_stats engine;
+      stats = Sim.fault_stats engine;
     }
 
   let prop ?budget () case = verdict (run_case ?budget case)
@@ -189,10 +189,10 @@ module Broken = struct
         if active () <> before then Mutation.force (Some before))
       (fun () -> f x)
 
-  module Engine = Default.Engine
+  module Sim = Default.Sim
 
-  let run_case ?budget ?init ?prefix case =
-    grant_drop (Default.run_case ?budget ?init ?prefix) case
+  let run_case ?budget ?init ?prefix ?domains case =
+    grant_drop (Default.run_case ?budget ?init ?prefix ?domains) case
 
   let prop ?budget () case = grant_drop (Default.prop ?budget ()) case
 

@@ -72,17 +72,19 @@ val verdict : report -> (unit, string) result
 module Harness (A : Mdst_sim.Node.AUTOMATON
                   with type state = Mdst_core.State.t
                    and type msg = Mdst_core.Msg.t) : sig
-  module Engine : module type of Mdst_sim.Engine.Make (A)
+  module Sim : module type of Mdst_sim.Pengine.Make (A)
 
   val run_case :
     ?budget:budget ->
     ?init:[ `Clean | `Random ] ->
-    ?prefix:(Engine.t -> unit) ->
+    ?prefix:(Sim.t -> unit) ->
+    ?domains:int ->
     case ->
     report
   (** [init] defaults to [`Random].  [prefix] runs on the engine after the
       plan is installed and before the convergence run — the schedule
-      fuzzer drives its fuzzed prefix through it. *)
+      fuzzer drives its fuzzed prefix through it.  [domains] (default 1)
+      splits the engine; scheduled fault events need one shard. *)
 
   val prop : ?budget:budget -> unit -> case Property.prop
 

@@ -29,6 +29,8 @@ type variant = [ `Default | `Suppressed ]
 
 type init = [ `Clean | `Legitimate | `Random ]
 
+type daemon = [ `Async | `Sync ]
+
 type config = {
   variant : variant;
   init : init;
@@ -36,6 +38,8 @@ type config = {
   engine_seed : int;
   plan : Fault.plan;
   double_corrupt : bool;
+  domains : int;
+  daemon : daemon;
 }
 
 type entry = { config : config; sched : string list; steps : int }
@@ -59,6 +63,8 @@ let variants = [ ("default", `Default); ("suppressed", `Suppressed) ]
 
 let inits = [ ("clean", `Clean); ("legitimate", `Legitimate); ("random", `Random) ]
 
+let daemons = [ ("async", `Async); ("sync", `Sync) ]
+
 let entry_to_string (e : entry) =
   let name x names = fst (List.find (fun (_, y) -> y = x) names) in
   let slen = List.length e.sched in
@@ -68,13 +74,15 @@ let entry_to_string (e : entry) =
     @ (if Fault.is_empty e.config.plan then []
        else [ "plan=" ^ Fault.to_string e.config.plan ])
     @ (if e.config.double_corrupt then [ "dc=1" ] else [])
+    @ (if e.config.domains = 1 then [] else [ Printf.sprintf "k=%d" e.config.domains ])
+    @ (if e.config.daemon = `Async then [] else [ "daemon=" ^ name e.config.daemon daemons ])
     @ (if e.steps = slen then [] else [ Printf.sprintf "steps=%d" e.steps ])
     @ if e.sched = [] then [] else [ "sched=" ^ String.concat "," e.sched ])
 
 let entry_of_string s =
   let f =
     Repro.parse ~what:"Fuzz.entry_of_string"
-      ~keys:[ "variant"; "init"; "plan"; "dc"; "steps"; "sched" ]
+      ~keys:[ "variant"; "init"; "plan"; "dc"; "k"; "daemon"; "steps"; "sched" ]
       s
   in
   let sched =
@@ -97,6 +105,8 @@ let entry_of_string s =
         engine_seed = Repro.seed f;
         plan = Repro.plan f;
         double_corrupt = Repro.find f "dc" = Some "1";
+        domains = max 1 (Option.value ~default:1 (Repro.nat f "k"));
+        daemon = Option.value ~default:`Async (Repro.enum f "daemon" daemons);
       };
     sched;
     steps = Option.value ~default:(List.length sched) (Repro.nat f "steps");
@@ -130,7 +140,7 @@ module Exec
 struct
   module L = Lockstep.Make (A) (P)
   module H = Convergence.Harness (A)
-  module E = H.Engine
+  module E = H.Sim
 
   let engine_init (cfg : config) =
     match cfg.init with `Random -> `Random | `Clean | `Legitimate -> `Clean
@@ -144,10 +154,11 @@ struct
       | `Clean | `Random -> None
     in
     let fps = ref [] in
+    let chooser = match cfg.daemon with `Async -> Lockstep.Pick pick | `Sync -> Lockstep.Sync in
     let r =
       L.run ?states ~premise:Explore.premise
         ~observe:(fun st -> fps := fingerprints st :: !fps)
-        ~seed:cfg.engine_seed ~init:(engine_init cfg) ~events:total (Lockstep.Pick pick)
+        ~domains:cfg.domains ~seed:cfg.engine_seed ~init:(engine_init cfg) ~events:total chooser
         cfg.graph
     in
     {
@@ -172,6 +183,7 @@ struct
       if cfg.init = `Legitimate then
         Array.iteri (E.set_state engine) (Explore.legitimate_states cfg.graph);
       let i = ref 0 in
+      let record ev = executed := Model.event_to_string ev :: !executed in
       let choose options =
         let evs =
           Array.map
@@ -181,16 +193,27 @@ struct
             options
         in
         let k = pick evs in
-        executed := Model.event_to_string evs.(k) :: !executed;
+        record evs.(k);
         k
       in
-      while !i < total && E.step_with engine ~choose do
+      let step =
+        match cfg.daemon with
+        | `Async -> fun () -> E.step_with engine ~choose
+        | `Sync ->
+            E.observe engine (function
+              | Mdst_sim.Pengine.Obs_tick { node; _ } -> record (Model.Tick node)
+              | Mdst_sim.Pengine.Obs_deliver { src; dst; _ } -> record (Model.Deliver { src; dst })
+              | Mdst_sim.Pengine.Obs_fault _ -> ());
+            fun () -> E.step_sync engine
+      in
+      while !i < total && step () do
         if !i land 3 = 0 then fps := fingerprints (E.states engine) :: !fps;
         incr i
-      done
+      done;
+      E.unobserve engine
     in
     let r =
-      H.run_case ~init:(engine_init cfg) ~prefix
+      H.run_case ~init:(engine_init cfg) ~prefix ~domains:cfg.domains
         { Convergence.graph = cfg.graph; plan = cfg.plan; seed = cfg.engine_seed }
     in
     Mutation.probe
@@ -210,8 +233,8 @@ struct
      mutant that draws from the engine stream couples them. *)
   let run_decoupling (cfg : config) =
     let init = engine_init cfg in
-    let e1 = E.create ~seed:cfg.engine_seed ~init cfg.graph in
-    let e2 = E.create ~seed:cfg.engine_seed ~init cfg.graph in
+    let e1 = E.create ~seed:cfg.engine_seed ~init ~domains:cfg.domains cfg.graph in
+    let e2 = E.create ~seed:cfg.engine_seed ~init ~domains:cfg.domains cfg.graph in
     let rng = Prng.create (cfg.engine_seed lxor 0x7a3d) in
     let pulses = 2 + Prng.int rng 3 in
     let failure = ref None in
@@ -435,11 +458,37 @@ let sharpen_plan rng (plan : Fault.plan) =
     { plan with Fault.events = events }
   end
 
+(* The engine half of a swarm configuration: 1, 2 or 4 shards (one when
+   the plan schedules crashes, cuts or links) and either daemon. *)
+let scheduled (plan : Fault.plan) =
+  List.exists
+    (function Fault.Crash _ | Fault.Cut _ | Fault.Link _ -> true | _ -> false)
+    plan.Fault.events
+
+let draw_engine rng (cfg : config) =
+  let domains = [| 1; 2; 4 |].(Prng.int rng 3) in
+  {
+    cfg with
+    domains = (if scheduled cfg.plan then 1 else domains);
+    daemon = (if Prng.bool rng then `Async else `Sync);
+  }
+
 let sweep_entries ~max_n rng =
   let seed () = Prng.int rng 1_000_000 in
   let mk variant init ~plan ~dc graph =
     {
-      config = { variant; init; graph; engine_seed = seed (); plan; double_corrupt = dc };
+      config =
+        draw_engine rng
+          {
+            variant;
+            init;
+            graph;
+            engine_seed = seed ();
+            plan;
+            double_corrupt = dc;
+            domains = 1;
+            daemon = `Async;
+          };
       sched = [];
       steps = 0;
     }
@@ -561,7 +610,8 @@ let mutate_config ~max_n rng (cfg : config) =
     match Prng.int rng 8 with
     | 0 -> flip_variant cfg
     | 1 -> cycle_init cfg
-    | 2 | 3 -> { cfg with engine_seed = Prng.int rng 1_000_000 }
+    | 2 -> { cfg with engine_seed = Prng.int rng 1_000_000 }
+    | 3 -> draw_engine rng cfg
     | 4 -> { cfg with plan = gen_plan cfg.graph rng; double_corrupt = false }
     | 5 -> { cfg with double_corrupt = not cfg.double_corrupt }
     | _ -> fresh_graph ~max_n rng cfg
@@ -573,7 +623,11 @@ let mutate_config ~max_n rng (cfg : config) =
        a race is a (plan, seed) coincidence, and a parent that converged
        cleanly has already proven its own pair harmless. *)
     match Prng.int rng 10 with
-    | 0 -> if Prng.bool rng then flip_variant cfg else cycle_init cfg
+    | 0 -> (
+        match Prng.int rng 3 with
+        | 0 -> flip_variant cfg
+        | 1 -> cycle_init cfg
+        | _ -> draw_engine rng cfg)
     | 1 | 2 -> { cfg with engine_seed = Prng.int rng 1_000_000 }
     | 3 | 4 -> { cfg with plan = gen_plan cfg.graph rng; engine_seed = Prng.int rng 1_000_000 }
     | 5 ->
@@ -600,6 +654,7 @@ let mutate_config ~max_n rng (cfg : config) =
 
 let mutate_cfg_entry ~max_n rng (e : entry) =
   let cfg = mutate_config ~max_n rng e.config in
+  let cfg = if scheduled cfg.plan then { cfg with domains = 1 } else cfg in
   if cfg.graph != e.config.graph then { config = cfg; sched = []; steps = 0 }
   else { e with config = cfg }
 
@@ -624,14 +679,17 @@ let gen_random_entry ~max_n rng =
   let plan = if (not dc) && kind < 4 then gen_plan graph rng else Fault.empty in
   {
     config =
-      {
-        variant;
-        init;
-        graph;
-        engine_seed = Prng.int rng 1_000_000;
-        plan;
-        double_corrupt = dc;
-      };
+      draw_engine rng
+        {
+          variant;
+          init;
+          graph;
+          engine_seed = Prng.int rng 1_000_000;
+          plan;
+          double_corrupt = dc;
+          domains = 1;
+          daemon = `Async;
+        };
     sched = [];
     steps = 0;
   }

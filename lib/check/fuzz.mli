@@ -21,8 +21,12 @@
     random), an optional {!Mdst_sim.Fault.plan} (adversity mode: the
     {!Convergence} harness with the fuzzed schedule as its prefix), and a
     stream-decoupling toggle (twin engines replaying
-    {!Mdst_sim.Engine.Make.corrupt} pulses that must agree regardless of
-    the [channels] flag).
+    {!Mdst_sim.Pengine.Make.corrupt} pulses that must agree regardless of
+    the [channels] flag).  It also names the engine's shard count (1, 2
+    or 4; more than one only for plans without scheduled events) and the
+    daemon: asynchronous (the fuzzed schedule) or synchronous
+    ({!Mdst_sim.Pengine.Make.step_sync}, where the schedule is only
+    recorded).
 
     {2 Oracles and trophies}
 
@@ -40,6 +44,8 @@ type variant = [ `Default | `Suppressed ]
 
 type init = [ `Clean | `Legitimate | `Random ]
 
+type daemon = [ `Async | `Sync ]
+
 (** One swarm configuration.  [plan] empty and [double_corrupt] off is
     lockstep mode; a non-empty [plan] selects adversity mode;
     [double_corrupt] selects the twin-engine decoupling oracle (then
@@ -51,6 +57,8 @@ type config = {
   engine_seed : int;
   plan : Mdst_sim.Fault.plan;
   double_corrupt : bool;
+  domains : int;  (** engine shards *)
+  daemon : daemon;
 }
 
 (** A corpus entry: a configuration plus a delivery schedule in

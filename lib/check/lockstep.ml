@@ -9,7 +9,7 @@ module Projection = Mdst_core.Projection
 module Checker = Mdst_core.Checker
 module Prng = Mdst_util.Prng
 
-type chooser = Engine_order | Pick of (Model.event array -> int)
+type chooser = Engine_order | Sync | Pick of (Model.event array -> int)
 
 let uniform rng options = Prng.int rng (Array.length options)
 
@@ -96,7 +96,7 @@ struct
       A.on_message ctx st ~src msg
   end
 
-  module E = Mdst_sim.Engine.Make (T)
+  module E = Mdst_sim.Pengine.Make (T)
 
   let event_of_choice = function
     | E.Choose_tick { node } -> Model.Tick node
@@ -104,12 +104,13 @@ struct
 
   let step engine = function
     | Engine_order -> ignore (E.step engine)
+    | Sync -> ignore (E.step_sync engine)
     | Pick pick ->
         ignore
           (E.step_with engine ~choose:(fun options -> pick (Array.map event_of_choice options)))
 
-  let run ?states ?premise ?(observe = ignore) ~seed ~init ~events chooser graph =
-    let engine = E.create ~seed ~init:(init :> E.init) graph in
+  let run ?states ?premise ?(observe = ignore) ?domains ~seed ~init ~events chooser graph =
+    let engine = E.create ~seed ~init:(init :> E.init) ?domains graph in
     Option.iter (Array.iteri (E.set_state engine)) states;
     T.taken := None;
     let seed_model () =

@@ -20,9 +20,10 @@ module Graph = Mdst_graph.Graph
 module Model = Mdst_model.Model
 
 type chooser =
-  | Engine_order  (** {!Mdst_sim.Engine.Make.step}: arrival-time order *)
+  | Engine_order  (** {!Mdst_sim.Pengine.Make.step}: arrival-time order *)
+  | Sync  (** {!Mdst_sim.Pengine.Make.step_sync}: the synchronous daemon *)
   | Pick of (Model.event array -> int)
-      (** {!Mdst_sim.Engine.Make.step_with}: given the eligible events
+      (** {!Mdst_sim.Pengine.Make.step_with}: given the eligible events
           (armed ticks in node order, then channel heads in
           [(src * n) + dst] order), return an index *)
 
@@ -75,13 +76,15 @@ end) : sig
     ?states:Mdst_core.State.t array ->
     ?premise:(Graph.t -> Mdst_core.State.t array -> Mdst_core.Msg.t list array -> bool) ->
     ?observe:(Mdst_core.State.t array -> unit) ->
+    ?domains:int ->
     seed:int ->
     init:[ `Clean | `Random ] ->
     events:int ->
     chooser ->
     Graph.t ->
     result
-  (** Create the engine from [seed] and [init] ([states], when given,
+  (** Create the engine from [seed], [init] and [domains] (default 1;
+      stepping is sequential whatever the count) ([states], when given,
       replaces every node's state), seed the model from the engine's
       states and queued messages, and run up to [events] events.  The
       [premise] (e.g. {!Explore.premise}) is evaluated on every 4th event

@@ -46,7 +46,7 @@ let suppression_fixtures =
 
 (* Shrunk reproducer of the faults_pending race: a corruption window closes
    before its tampered message is delivered, so a stop check that ignores
-   [Engine.faults_pending] declares convergence on a doomed configuration. *)
+   [Pengine.faults_pending] declares convergence on a doomed configuration. *)
 let race_fixture =
   "n=5;ids=5,3,4,1,2;edges=0-1,0-4,1-2,1-3,1-4,2-3,3-4;seed=57795;plan=seed=338085|corrupt:403-407:1>3:0.73"
 
@@ -57,7 +57,7 @@ let stop_check_race_probe () =
   | Error reason -> Detected reason
   | Ok () -> Silent "convergence and closure hold on the stop-race fixture"
 
-module CE = Mdst_sim.Engine.Make (Mdst_core.Proto.Default)
+module CE = Mdst_sim.Pengine.Make (Mdst_core.Proto.Default)
 
 (* [corrupt ~channels:b] must advance the engine's own stream identically
    for both values of [b]; if channel injection leaks draws from it, a

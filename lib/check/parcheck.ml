@@ -1,16 +1,14 @@
-(* Conformance for the sharded parallel engine.  See parcheck.mli for the
-   two statements. *)
+(* Shard-count invariance of the engine.  See parcheck.mli. *)
 
 module Graph = Mdst_graph.Graph
-module Model = Mdst_model.Model
 module Checker = Mdst_core.Checker
 
 type case = {
   graph : Graph.t;
   seed : int;
   init : [ `Clean | `Random ];
-  domains : int;
-  until : float;  (* virtual-time horizon of the recorded run *)
+  domains : int list;
+  until : float;
 }
 
 type report = { events : int; failure : string option }
@@ -22,53 +20,47 @@ type equiv = {
 
 module Make (A : Mdst_sim.Node.AUTOMATON
                with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (P : sig
-  val params : Model.params
-end) =
+                and type msg = Mdst_core.Msg.t) =
 struct
-  module PE = Mdst_sim.Pengine.Make (A)
-  module L = Lockstep.Make (A) (P)
   module R = Mdst_core.Run.Runner (A)
 
-  let replay ~seed ~init ~final sched graph =
-    let events = Array.length sched in
-    match L.run ~seed ~init ~events (Lockstep.Pick (Lockstep.strict sched)) graph with
-    | exception Failure why -> Some ("sequential engine rejected the schedule: " ^ why)
-    | { Lockstep.failure = Some f; _ } -> Some ("model divergence at " ^ Lockstep.describe f)
-    | { Lockstep.states; _ } ->
-        Array.find_index Fun.id (Array.map2 ( <> ) final states)
-        |> Option.map (fun v ->
-               Printf.sprintf
-                 "sequential replay final state differs at node %d after %d events" v events)
+  let record case domains =
+    let e =
+      R.make_engine ~seed:case.seed ~init:(case.init :> Mdst_core.Run.init) ~record:true
+        ~domains case.graph
+    in
+    R.Sim.run_window e ~until:case.until;
+    (R.Sim.schedule e, Array.copy (R.Sim.states e))
 
   let run_case case =
-    let pe =
-      PE.create ~seed:case.seed ~init:(case.init :> PE.init) ~record:true
-        ~domains:case.domains case.graph
-    in
-    PE.run_window pe ~until:case.until;
-    let sched =
-      Array.map
-        (fun (_, (ev : PE.sched_event)) ->
-          match ev with
-          | PE.Sched_tick { node } -> Model.Tick node
-          | PE.Sched_deliver { src; dst } -> Model.Deliver { src; dst })
-        (PE.schedule pe)
-    in
-    {
-      events = Array.length sched;
-      failure = replay ~seed:case.seed ~init:case.init ~final:(PE.states pe) sched case.graph;
-    }
+    match case.domains with
+    | [] -> { events = 0; failure = None }
+    | d0 :: rest ->
+        let sched0, final0 = record case d0 in
+        let differs d =
+          let sched, final = record case d in
+          let at = Seq.zip (Array.to_seq sched0) (Array.to_seq sched) in
+          match Seq.find_index (fun (a, b) -> a <> b) at with
+          | Some i -> Some (Printf.sprintf "domains=%d: schedule differs from domains=%d at event %d" d d0 i)
+          | None when Array.length sched <> Array.length sched0 ->
+              Some
+                (Printf.sprintf "domains=%d: %d events, domains=%d: %d" d (Array.length sched) d0
+                   (Array.length sched0))
+          | None ->
+              Array.find_index Fun.id (Array.map2 ( <> ) final0 final)
+              |> Option.map (Printf.sprintf "domains=%d: final state of node %d differs" d)
+        in
+        { events = Array.length sched0; failure = List.find_map differs rest }
 
   let fingerprint_equivalence ?quiet_rounds ?(max_rounds = 60_000) ?window ~seed ~init
       ~domains graph =
     let per_domain =
       List.map
         (fun d ->
-          let e = R.make_pengine ~seed ~init:(init :> Mdst_core.Run.init) ~domains:d graph in
-          let stop = R.make_pstop ?quiet_rounds () in
-          let o = R.Pengine.run e ~max_rounds ?window ~stop () in
-          (d, o.R.Pengine.converged, Checker.fingerprint (R.Pengine.states e)))
+          let e = R.make_engine ~seed ~init:(init :> Mdst_core.Run.init) ~domains:d graph in
+          let stop = R.make_stop ?quiet_rounds () in
+          let o = R.Sim.run e ~max_rounds ?window ~stop () in
+          (d, o.R.Sim.converged, Checker.fingerprint (R.Sim.states e)))
         domains
     in
     let agree =
@@ -79,4 +71,4 @@ struct
     { per_domain; agree }
 end
 
-module Default = Make (Mdst_core.Proto.Default) (Lockstep.Default_params)
+module Default = Make (Mdst_core.Proto.Default)

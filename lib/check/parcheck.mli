@@ -1,31 +1,27 @@
-(** Conformance checks for the sharded parallel engine ({!Mdst_sim.Pengine}).
+(** Shard-count invariance of the engine ({!Mdst_sim.Pengine}).
 
-    [run_case] records the merged [(time, shard, seq)] schedule of a
-    k-shard run and replays it strictly through the sequential engine in
-    {!Lockstep} with the pure reference model: every recorded event must
-    be eligible, engine and model must agree after every event, and the
-    final states must equal the sharded run's exactly — the two engines
-    share handler code and per-node protocol streams, so acceptance means
-    the sharding changed nothing about what executed.
+    [run_case] records the merged [(time, key)] schedule and the final
+    states of one window-driven run per shard count and requires them to be
+    identical: the engine's trace does not depend on the number of shards,
+    so any difference is a sharding bug (a lost or duplicated mailbox
+    event, a racy tie-break, a window bound that let a shard run past a
+    peer's send).
 
     [fingerprint_equivalence] converges one (seed, init) under several
-    shard counts and requires identical quiescence fingerprints: the
-    sharded engine's timestamps do not depend on the shard count, so the
-    stabilized configurations must agree bit for bit.  This is the
-    standing cross-validation behind the [pardet] CLI command and the CI
-    multi-domain smoke job. *)
+    shard counts and requires identical quiescence fingerprints.  Both
+    back the [pardet] CLI command and the CI multi-domain smoke job. *)
 
 type case = {
   graph : Mdst_graph.Graph.t;
   seed : int;
   init : [ `Clean | `Random ];
-  domains : int;
-  until : float;  (** virtual-time horizon of the recorded run *)
+  domains : int list;  (** shard counts compared, each against the first *)
+  until : float;  (** virtual-time horizon of the recorded runs *)
 }
 
 type report = {
-  events : int;  (** events executed and replayed *)
-  failure : string option;  (** [None] = conformant *)
+  events : int;  (** events in the first shard count's schedule *)
+  failure : string option;  (** [None] = identical at every shard count *)
 }
 
 type equiv = {
@@ -35,21 +31,8 @@ type equiv = {
 
 module Make (A : Mdst_sim.Node.AUTOMATON
                with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (_ : sig
-  val params : Mdst_model.Model.params
-end) : sig
+                and type msg = Mdst_core.Msg.t) : sig
   val run_case : case -> report
-
-  val replay :
-    seed:int ->
-    init:[ `Clean | `Random ] ->
-    final:Mdst_core.State.t array ->
-    Mdst_model.Model.event array ->
-    Mdst_graph.Graph.t ->
-    string option
-  (** The replay behind [run_case]: the schedule, strictly, through the
-      sequential engine in {!Lockstep} with the model, after which the
-      engine's final states must equal [final].  [None] = conformant. *)
 
   val fingerprint_equivalence :
     ?quiet_rounds:int ->
@@ -62,4 +45,4 @@ end) : sig
     equiv
 end
 
-module Default : module type of Make (Mdst_core.Proto.Default) (Lockstep.Default_params)
+module Default : module type of Make (Mdst_core.Proto.Default)

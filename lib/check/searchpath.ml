@@ -112,21 +112,21 @@ let observe ?(extra_rounds = 400) case =
   let fixpoint t = not (Mdst_baseline.Fr.improvable t) in
   let engine = R.make_engine ~seed:case.seed ~init:`Clean case.graph in
   let stop = R.make_stop ~fixpoint () in
-  let outcome = R.Engine.run engine ~max_rounds:30_000 ~check_every:2 ~stop () in
+  let outcome = R.Sim.run engine ~max_rounds:30_000 ~check_every:2 ~stop () in
   if not outcome.converged then Error "no convergence from a clean start"
   else begin
     let parent_map () =
       let tbl = Hashtbl.create (Graph.n case.graph) in
       Array.iteri
         (fun v (st : State.t) -> Hashtbl.replace tbl (Graph.id case.graph v) st.State.parent)
-        (R.Engine.states engine);
+        (R.Sim.states engine);
       tbl
     in
     let before = parent_map () in
     Queue.clear completed;
     let _ =
-      R.Engine.run engine
-        ~max_rounds:(R.Engine.rounds engine + extra_rounds)
+      R.Sim.run engine
+        ~max_rounds:(R.Sim.rounds engine + extra_rounds)
         ~check_every:4
         ~stop:(fun _ -> false)
         ()

@@ -202,7 +202,7 @@ module Projection = Mdst_core.Projection
 (* A small engine exists here only to manufacture realistic configurations
    (clean or adversarial) for the model-level properties; the walks
    themselves are pure [Model.step] iteration. *)
-module ME = Mdst_sim.Engine.Make (Mdst_core.Proto.Default)
+module ME = Mdst_sim.Pengine.Make (Mdst_core.Proto.Default)
 
 let seed_model (c : Conformance.case) =
   let init = match c.Conformance.init with `Clean -> `Clean | `Random -> `Random in

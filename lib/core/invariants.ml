@@ -12,10 +12,10 @@ type report = {
 
 module Watch (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type msg = Msg.t) =
 struct
-  module Engine = Mdst_sim.Engine.Make (A)
+  module Sim = Mdst_sim.Pengine.Make (A)
 
   let watch ?(sample_every = 2) ~engine ~max_rounds ~stop () =
-    let graph = Engine.graph engine in
+    let graph = Sim.graph engine in
     let samples = ref 0 in
     let spanning = ref 0 in
     let outage = ref 0 in
@@ -35,11 +35,11 @@ struct
        identity only from swap-quiescent configurations, the same basis as
        Checker.fingerprint / Projection. *)
     let mid_swap () =
-      Array.exists (fun st -> st.State.pending <> None) (Engine.states engine)
+      Array.exists (fun st -> st.State.pending <> None) (Sim.states engine)
     in
     let sample () =
       incr samples;
-      match Checker.tree_of_states graph (Engine.states engine) with
+      match Checker.tree_of_states graph (Sim.states engine) with
       | Some tree ->
           incr spanning;
           outage := 0;
@@ -51,13 +51,13 @@ struct
     in
     let next_sample = ref 0 in
     let combined_stop t =
-      if Engine.rounds t >= !next_sample then begin
-        next_sample := Engine.rounds t + sample_every;
+      if Sim.rounds t >= !next_sample then begin
+        next_sample := Sim.rounds t + sample_every;
         sample ()
       end;
       stop t
     in
-    ignore (Engine.run engine ~max_rounds ~check_every:1 ~stop:combined_stop ());
+    ignore (Sim.run engine ~max_rounds ~check_every:1 ~stop:combined_stop ());
     sample ();
     {
       samples = !samples;
@@ -67,7 +67,7 @@ struct
       longest_outage = !longest_outage;
       distinct_trees = ES.cardinal !trees;
       max_degree_seen = !max_degree_seen;
-      final_spanning = Checker.tree_of_states graph (Engine.states engine) <> None;
+      final_spanning = Checker.tree_of_states graph (Sim.states engine) <> None;
     }
 end
 

@@ -28,22 +28,22 @@ type report = {
 }
 
 module Watch (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type msg = Msg.t) : sig
-  module Engine : module type of Mdst_sim.Engine.Make (A)
+  module Sim : module type of Mdst_sim.Pengine.Make (A)
 
   val watch :
     ?sample_every:int ->
-    engine:Engine.t ->
+    engine:Sim.t ->
     max_rounds:int ->
-    stop:(Engine.t -> bool) ->
+    stop:(Sim.t -> bool) ->
     unit ->
     report
 end
 
 val watch :
   ?sample_every:int ->
-  engine:Run.Engine.t ->
+  engine:Run.Sim.t ->
   max_rounds:int ->
-  stop:(Run.Engine.t -> bool) ->
+  stop:(Run.Sim.t -> bool) ->
   unit ->
   report
 (** Drive [engine] until [stop] or [max_rounds], sampling every

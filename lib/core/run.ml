@@ -51,45 +51,52 @@ let state_of_tree tree ctx _rng =
 
 module Runner (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type msg = Msg.t) =
 struct
-  module Engine = Mdst_sim.Engine.Make (A)
+  module Sim = Mdst_sim.Pengine.Make (A)
+  module Engine = Sim
+  module Pengine = Sim
 
-  let make_engine ?(latency = Latency.uniform ()) ?(seed = 42) ?(init = `Clean) graph =
+  let make_engine ?(latency = Latency.uniform ()) ?(seed = 42) ?(init = `Clean) ?record
+      ?partition ?domains graph =
     let engine_init =
       match (init : init) with
       | `Clean -> `Clean
       | `Random -> `Random
       | `Tree t -> `Custom (state_of_tree t)
     in
-    Engine.create ~latency ~seed ~init:engine_init graph
+    Sim.create ~latency ~seed ~init:engine_init ?record ?partition ?domains graph
+
+  let make_pengine = make_engine
 
   (* See the module comment for the role of [fixpoint]. *)
   let make_stop ?(quiet_rounds = 60) ?(fixpoint = fun _ -> true) () =
     let last_fp = ref 0 in
     let stable_since = ref (-1) in
     fun t ->
-      let states = Engine.states t in
+      let states = Sim.states t in
       let fp = Checker.fingerprint states in
       if fp <> !last_fp then begin
         last_fp := fp;
-        stable_since := Engine.rounds t
+        stable_since := Sim.rounds t
       end;
       !stable_since >= 0
-      && Engine.rounds t - !stable_since >= quiet_rounds
-      && Checker.legitimate (Engine.graph t) states
+      && Sim.rounds t - !stable_since >= quiet_rounds
+      && Checker.legitimate (Sim.graph t) states
       &&
-      match Checker.tree_of_states (Engine.graph t) states with
+      match Checker.tree_of_states (Sim.graph t) states with
       | Some tree -> fixpoint tree
       | None -> false
 
+  let make_pstop = make_stop
+
   let snapshot engine ~converged =
-    let graph = Engine.graph engine in
-    let states = Engine.states engine in
+    let graph = Sim.graph engine in
+    let states = Sim.states engine in
     let tree = Checker.tree_of_states graph states in
-    let metrics = Engine.metrics engine in
+    let metrics = Sim.metrics engine in
     {
       converged;
-      rounds = Engine.rounds engine;
-      time = Engine.now engine;
+      rounds = Sim.rounds engine;
+      time = Sim.now engine;
       deliveries = Mdst_sim.Metrics.deliveries metrics;
       tree;
       degree = Option.map Tree.max_degree tree;
@@ -101,10 +108,11 @@ struct
     }
 
   let converge ?latency ?seed ?init ?(max_rounds = default_max_rounds) ?quiet_rounds ?fixpoint
-      graph =
-    let engine = make_engine ?latency ?seed ?init graph in
+      ?domains ?window graph =
+    let engine = make_engine ?latency ?seed ?init ?domains graph in
     let stop = make_stop ?quiet_rounds ?fixpoint () in
-    let outcome = Engine.run engine ~max_rounds ~check_every:2 ~stop () in
+    let check_every = if window = None then Some 2 else None in
+    let outcome = Sim.run engine ~max_rounds ?check_every ?window ~stop () in
     snapshot engine ~converged:outcome.converged
 
   (* Convergence-then-corruption: steady state, corrupt a fraction of the
@@ -113,80 +121,20 @@ struct
       ?quiet_rounds ?fixpoint ~fraction graph =
     let engine = make_engine ?latency ~seed ?init graph in
     let stop = make_stop ?quiet_rounds ?fixpoint () in
-    let outcome1 = Engine.run engine ~max_rounds ~check_every:2 ~stop () in
+    let outcome1 = Sim.run engine ~max_rounds ~check_every:2 ~stop () in
     let first = snapshot engine ~converged:outcome1.converged in
     if not outcome1.converged then { first; corrupted = 0; recovery_rounds = None }
     else begin
-      let corrupted = Engine.corrupt engine ~fraction ~channels:true () in
-      let start = Engine.rounds engine in
+      let corrupted = Sim.corrupt engine ~fraction ~channels:true () in
+      let start = Sim.rounds engine in
       let stop = make_stop ?quiet_rounds ?fixpoint () in
-      let outcome2 = Engine.run engine ~max_rounds ~check_every:2 ~stop () in
+      let outcome2 = Sim.run engine ~max_rounds ~check_every:2 ~stop () in
       {
         first;
         corrupted;
         recovery_rounds = (if outcome2.converged then Some (outcome2.rounds - start) else None);
       }
     end
-
-  (* ---- Sharded parallel engine (Pengine) counterparts. ---- *)
-
-  module Pengine = Mdst_sim.Pengine.Make (A)
-
-  let make_pengine ?(latency = Latency.uniform ()) ?(seed = 42) ?(init = `Clean) ?record
-      ?partition ~domains graph =
-    let engine_init =
-      match (init : init) with
-      | `Clean -> `Clean
-      | `Random -> `Random
-      | `Tree t -> `Custom (state_of_tree t)
-    in
-    Pengine.create ~latency ~seed ~init:engine_init ?record ?partition ~domains graph
-
-  (* Same detector as [make_stop], over the parallel engine's accessors.
-     It only runs between windows, where the engine is single-threaded. *)
-  let make_pstop ?(quiet_rounds = 60) ?(fixpoint = fun _ -> true) () =
-    let last_fp = ref 0 in
-    let stable_since = ref (-1) in
-    fun t ->
-      let states = Pengine.states t in
-      let fp = Checker.fingerprint states in
-      if fp <> !last_fp then begin
-        last_fp := fp;
-        stable_since := Pengine.rounds t
-      end;
-      !stable_since >= 0
-      && Pengine.rounds t - !stable_since >= quiet_rounds
-      && Checker.legitimate (Pengine.graph t) states
-      &&
-      match Checker.tree_of_states (Pengine.graph t) states with
-      | Some tree -> fixpoint tree
-      | None -> false
-
-  let psnapshot engine ~converged =
-    let graph = Pengine.graph engine in
-    let states = Pengine.states engine in
-    let tree = Checker.tree_of_states graph states in
-    let metrics = Pengine.metrics engine in
-    {
-      converged;
-      rounds = Pengine.rounds engine;
-      time = Pengine.now engine;
-      deliveries = Mdst_sim.Metrics.deliveries metrics;
-      tree;
-      degree = Option.map Tree.max_degree tree;
-      messages = Mdst_sim.Metrics.messages_by_label metrics;
-      total_messages = Mdst_sim.Metrics.total_messages metrics;
-      total_bits = Mdst_sim.Metrics.total_bits metrics;
-      max_state_bits = Mdst_sim.Metrics.max_state_bits metrics;
-      max_msg_bits = Mdst_sim.Metrics.max_msg_bits metrics;
-    }
-
-  let converge_par ?latency ?seed ?init ?(max_rounds = default_max_rounds) ?quiet_rounds
-      ?fixpoint ?window ~domains graph =
-    let engine = make_pengine ?latency ?seed ?init ~domains graph in
-    let stop = make_pstop ?quiet_rounds ?fixpoint () in
-    let outcome = Pengine.run engine ~max_rounds ?window ~stop () in
-    psnapshot engine ~converged:outcome.converged
 end
 
 module Default_runner = Runner (Proto.Default)

@@ -47,18 +47,45 @@ val state_of_tree :
 
 (** The harness, generic over protocol variants (ablations in {!Proto}). *)
 module Runner (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type msg = Msg.t) : sig
-  module Engine : module type of Mdst_sim.Engine.Make (A)
+  module Sim : module type of Mdst_sim.Pengine.Make (A)
+
+  module Engine = Sim
+  module Pengine = Sim
 
   val make_engine :
-    ?latency:Mdst_sim.Latency.t -> ?seed:int -> ?init:init -> Mdst_graph.Graph.t -> Engine.t
+    ?latency:Mdst_sim.Latency.t ->
+    ?seed:int ->
+    ?init:init ->
+    ?record:bool ->
+    ?partition:int array ->
+    ?domains:int ->
+    Mdst_graph.Graph.t ->
+    Sim.t
+  (** The engine for [init] (one shard unless [domains] says otherwise). *)
+
+  val make_pengine :
+    ?latency:Mdst_sim.Latency.t ->
+    ?seed:int ->
+    ?init:init ->
+    ?record:bool ->
+    ?partition:int array ->
+    ?domains:int ->
+    Mdst_graph.Graph.t ->
+    Sim.t
 
   val make_stop :
-    ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Engine.t -> bool
+    ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Sim.t -> bool
   (** A fresh stateful stop predicate (tracks the fingerprint). *)
 
-  val snapshot : Engine.t -> converged:bool -> result
+  val make_pstop :
+    ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Sim.t -> bool
+  (** [Engine], [Pengine], [make_pengine] and [make_pstop] are aliases of
+      [Sim], [Sim], [make_engine] and [make_stop], kept for the benchmark
+      driver. *)
+
+  val snapshot : Sim.t -> converged:bool -> result
   (** The {!result} record of a custom engine run, for callers that drive
-      {!Engine.run} themselves (tracing, fault injection). *)
+      {!Sim.run} themselves (tracing, fault injection). *)
 
   val converge :
     ?latency:Mdst_sim.Latency.t ->
@@ -67,8 +94,14 @@ module Runner (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type ms
     ?max_rounds:int ->
     ?quiet_rounds:int ->
     ?fixpoint:(Mdst_graph.Tree.t -> bool) ->
+    ?domains:int ->
+    ?window:float ->
     Mdst_graph.Graph.t ->
     result
+  (** Without [window] the stop is checked every 2 rounds: event by event
+      with one shard, at window barriers with more.  With [window] it is
+      checked at every barrier, whatever the shard count, so the outcome
+      does not depend on [domains]. *)
 
   val converge_corrupt_recover :
     ?latency:Mdst_sim.Latency.t ->
@@ -82,57 +115,27 @@ module Runner (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type ms
     recovery
   (** Converge, corrupt [fraction] of the nodes (states + channels),
       measure rounds to re-convergence (experiment E4). *)
-
-  (** {2 Sharded parallel engine}
-
-      Same harness over {!Mdst_sim.Pengine}: identical initial
-      configurations for a given (seed, init) — the parallel engine
-      replays the sequential create's draws — and the same convergence
-      detector, evaluated between windows. *)
-
-  module Pengine : module type of Mdst_sim.Pengine.Make (A)
-
-  val make_pengine :
-    ?latency:Mdst_sim.Latency.t ->
-    ?seed:int ->
-    ?init:init ->
-    ?record:bool ->
-    ?partition:int array ->
-    domains:int ->
-    Mdst_graph.Graph.t ->
-    Pengine.t
-
-  val make_pstop :
-    ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Pengine.t -> bool
-
-  val psnapshot : Pengine.t -> converged:bool -> result
-
-  val converge_par :
-    ?latency:Mdst_sim.Latency.t ->
-    ?seed:int ->
-    ?init:init ->
-    ?max_rounds:int ->
-    ?quiet_rounds:int ->
-    ?fixpoint:(Mdst_graph.Tree.t -> bool) ->
-    ?window:float ->
-    domains:int ->
-    Mdst_graph.Graph.t ->
-    result
 end
 
 (** The default protocol instance, re-exported at the top level. *)
 module Default_runner : module type of Runner (Proto.Default)
 
-module Engine = Default_runner.Engine
-module Pengine = Default_runner.Pengine
+module Sim = Default_runner.Sim
 
 val make_engine :
-  ?latency:Mdst_sim.Latency.t -> ?seed:int -> ?init:init -> Mdst_graph.Graph.t -> Engine.t
+  ?latency:Mdst_sim.Latency.t ->
+  ?seed:int ->
+  ?init:init ->
+  ?record:bool ->
+  ?partition:int array ->
+  ?domains:int ->
+  Mdst_graph.Graph.t ->
+  Sim.t
 
 val make_stop :
-  ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Engine.t -> bool
+  ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Sim.t -> bool
 
-val snapshot : Engine.t -> converged:bool -> result
+val snapshot : Sim.t -> converged:bool -> result
 
 val converge :
   ?latency:Mdst_sim.Latency.t ->
@@ -141,6 +144,8 @@ val converge :
   ?max_rounds:int ->
   ?quiet_rounds:int ->
   ?fixpoint:(Mdst_graph.Tree.t -> bool) ->
+  ?domains:int ->
+  ?window:float ->
   Mdst_graph.Graph.t ->
   result
 
@@ -154,30 +159,3 @@ val converge_corrupt_recover :
   fraction:float ->
   Mdst_graph.Graph.t ->
   recovery
-
-val make_pengine :
-  ?latency:Mdst_sim.Latency.t ->
-  ?seed:int ->
-  ?init:init ->
-  ?record:bool ->
-  ?partition:int array ->
-  domains:int ->
-  Mdst_graph.Graph.t ->
-  Pengine.t
-
-val make_pstop :
-  ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Pengine.t -> bool
-
-val psnapshot : Pengine.t -> converged:bool -> result
-
-val converge_par :
-  ?latency:Mdst_sim.Latency.t ->
-  ?seed:int ->
-  ?init:init ->
-  ?max_rounds:int ->
-  ?quiet_rounds:int ->
-  ?fixpoint:(Mdst_graph.Tree.t -> bool) ->
-  ?window:float ->
-  domains:int ->
-  Mdst_graph.Graph.t ->
-  result

@@ -1,48 +1,30 @@
 module Graph = Mdst_graph.Graph
 module Tree = Mdst_graph.Tree
 
-module Engine = Mdst_sim.Sync_engine.Make (Proto.Default)
-
 type result = {
   converged : bool;
   rounds : int;
   tree : Tree.t option;
   degree : int option;
   total_messages : int;
+  fingerprint : int;
 }
 
-let converge ?(seed = 42) ?(init = `Clean) ?(max_rounds = 60_000) ?(quiet_rounds = 60)
-    ?(fixpoint = fun _ -> true) graph =
-  let engine_init =
-    match (init : Run.init) with
-    | `Clean -> `Clean
-    | `Random -> `Random
-    | `Tree t -> `Custom (Run.state_of_tree t)
-  in
-  let engine = Engine.create ~seed ~init:engine_init graph in
-  let last_fp = ref 0 in
-  let stable_since = ref (-1) in
-  let stop t =
-    let states = Engine.states t in
-    let fp = Checker.fingerprint states in
-    if fp <> !last_fp then begin
-      last_fp := fp;
-      stable_since := Engine.rounds t
-    end;
-    !stable_since >= 0
-    && Engine.rounds t - !stable_since >= quiet_rounds
-    && Checker.legitimate graph states
-    &&
-    match Checker.tree_of_states graph states with
-    | Some tree -> fixpoint tree
-    | None -> false
-  in
-  let outcome = Engine.run engine ~max_rounds ~stop () in
-  let tree = Checker.tree_of_states graph (Engine.states engine) in
+let converge ?(seed = 42) ?(init = `Clean) ?(max_rounds = 60_000) ?quiet_rounds ?fixpoint graph =
+  let engine = Run.make_engine ~seed ~init graph in
+  let stop = Run.make_stop ?quiet_rounds ?fixpoint () in
+  let finished = ref (stop engine) in
+  while (not !finished) && Run.Sim.rounds engine < max_rounds do
+    Run.Sim.sync_round engine;
+    if stop engine then finished := true
+  done;
+  let converged = stop engine in
+  let tree = Checker.tree_of_states graph (Run.Sim.states engine) in
   {
-    converged = outcome.converged;
-    rounds = outcome.rounds;
+    converged;
+    rounds = Run.Sim.rounds engine;
     tree;
     degree = Option.map Tree.max_degree tree;
-    total_messages = Mdst_sim.Metrics.total_messages (Engine.metrics engine);
+    total_messages = Mdst_sim.Metrics.total_messages (Run.Sim.metrics engine);
+    fingerprint = Checker.fingerprint (Run.Sim.states engine);
   }

@@ -1,8 +1,9 @@
-(** The protocol under the synchronous daemon ({!Mdst_sim.Sync_engine}).
+(** The protocol under the synchronous daemon ({!Mdst_sim.Pengine.Make.sync_round}).
 
     Same convergence detection as {!Run} (legitimacy + quiescence +
-    optional fixpoint oracle), but rounds are lockstep rounds.  Used by
-    experiment E12 to show the guarantees are daemon-independent. *)
+    optional fixpoint oracle), evaluated after every round, but rounds are
+    lockstep rounds.  Used by experiment E12 to show the guarantees are
+    daemon-independent. *)
 
 type result = {
   converged : bool;
@@ -10,9 +11,8 @@ type result = {
   tree : Mdst_graph.Tree.t option;
   degree : int option;
   total_messages : int;
+  fingerprint : int;  (** {!Checker.fingerprint} of the final states *)
 }
-
-module Engine : module type of Mdst_sim.Sync_engine.Make (Proto.Default)
 
 val converge :
   ?seed:int ->

@@ -6,7 +6,7 @@
     given ordered channel carries while an asynchronous-round window is
     open; scheduled events (crash-restart, edge cut / link) fire once when
     the execution first reaches their round.  The engine applies plans via
-    {!Engine.Make.install_faults} and reports every applied fault as an
+    {!Pengine.Make.install_faults} and reports every applied fault as an
     [Obs_fault] observation, so a trace always explains what the adversary
     did.
 

@@ -1,16 +1,16 @@
 type t = {
   capacity : int;
-  keep : Engine.observation -> bool;
-  buffer : Engine.observation option array;
+  keep : Pengine.observation -> bool;
+  buffer : Pengine.observation option array;
   mutable next : int;  (* ring index *)
   mutable stored : int;
   mutable recorded : int;
 }
 
 let keep_protocol_only = function
-  | Engine.Obs_deliver { label; _ } -> label <> "info"
-  | Engine.Obs_fault _ -> true
-  | Engine.Obs_tick _ -> false
+  | Pengine.Obs_deliver { label; _ } -> label <> "info"
+  | Pengine.Obs_fault _ -> true
+  | Pengine.Obs_tick _ -> false
 
 let create ?(capacity = 4096) ?(keep = keep_protocol_only) () =
   {
@@ -44,12 +44,12 @@ let counts_by_label t =
   List.iter
     (fun obs ->
       match obs with
-      | Engine.Obs_deliver { label; _ } ->
+      | Pengine.Obs_deliver { label; _ } ->
           Hashtbl.replace tbl label (1 + Option.value ~default:0 (Hashtbl.find_opt tbl label))
-      | Engine.Obs_fault { kind; _ } ->
+      | Pengine.Obs_fault { kind; _ } ->
           let label = "fault:" ^ kind in
           Hashtbl.replace tbl label (1 + Option.value ~default:0 (Hashtbl.find_opt tbl label))
-      | Engine.Obs_tick _ -> ())
+      | Pengine.Obs_tick _ -> ())
     (events t);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
@@ -65,13 +65,13 @@ let render ?limit t =
   List.iter
     (fun obs ->
       match obs with
-      | Engine.Obs_deliver { src; dst; label; round; time } ->
+      | Pengine.Obs_deliver { src; dst; label; round; time } ->
           Buffer.add_string buf
             (Printf.sprintf "[round %5d | t=%8.1f] %-12s %d -> %d\n" round time label src dst)
-      | Engine.Obs_fault { kind; detail; round; time } ->
+      | Pengine.Obs_fault { kind; detail; round; time } ->
           Buffer.add_string buf
             (Printf.sprintf "[round %5d | t=%8.1f] fault:%-6s %s\n" round time kind detail)
-      | Engine.Obs_tick { node; round; time } ->
+      | Pengine.Obs_tick { node; round; time } ->
           Buffer.add_string buf (Printf.sprintf "[round %5d | t=%8.1f] tick         %d\n" round time node))
     evs;
   Buffer.contents buf

@@ -1,6 +1,6 @@
 (** Structured event tracing on top of the engine's observer hook.
 
-    A trace is a bounded ring buffer of {!Engine.observation}s with an
+    A trace is a bounded ring buffer of {!Pengine.observation}s with an
     optional filter; it answers "what actually happened" questions after a
     run — per-label counts, per-round activity, and a rendering of the last
     N events.  Used by the CLI's [--trace] and by tests that assert on
@@ -8,15 +8,15 @@
 
 type t
 
-val create : ?capacity:int -> ?keep:(Engine.observation -> bool) -> unit -> t
+val create : ?capacity:int -> ?keep:(Pengine.observation -> bool) -> unit -> t
 (** [capacity] bounds the retained events (default 4096, oldest dropped);
     [keep] filters at record time (default: drop ticks, keep deliveries). *)
 
-val record : t -> Engine.observation -> unit
+val record : t -> Pengine.observation -> unit
 (** The function to install as the engine observer
-    ([Engine.observe engine (Trace.record trace)]). *)
+    ([Pengine.observe engine (Trace.record trace)]). *)
 
-val events : t -> Engine.observation list
+val events : t -> Pengine.observation list
 (** Retained events, oldest first. *)
 
 val recorded : t -> int
@@ -31,5 +31,5 @@ val render : ?limit:int -> t -> string
 
 val clear : t -> unit
 
-val keep_protocol_only : Engine.observation -> bool
+val keep_protocol_only : Pengine.observation -> bool
 (** The default filter: deliveries whose label is not ["info"]. *)

@@ -157,6 +157,11 @@ let filter t keep =
   done;
   removed
 
+let iter t f =
+  for i = 0 to t.size - 1 do
+    f t.prios.(i) t.seqs.(i) t.values.(i)
+  done
+
 let to_list t =
   let acc = ref [] in
   for i = t.size - 1 downto 0 do

@@ -50,6 +50,10 @@ val peek : 'a t -> (float * 'a) option
 
 val clear : 'a t -> unit
 
+val iter : 'a t -> (float -> int -> 'a -> unit) -> unit
+(** [iter t f] calls [f prio seq value] on every entry, in arbitrary heap
+    order. *)
+
 val to_list : 'a t -> (float * 'a) list
 (** Snapshot in arbitrary heap order; used by tests and fault injection. *)
 

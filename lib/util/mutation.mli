@@ -15,9 +15,9 @@ val names : string list
     - ["grant-drop"]: the protocol discards Grant messages on receipt, so
       a validated swap never commits at [s] (the PR-1 lossy-variant bug).
     - ["stop-check-race"]: the convergence harness ignores
-      [Engine.faults_pending], re-opening the stop-check vs scheduled-fault
+      [Pengine.faults_pending], re-opening the stop-check vs scheduled-fault
       race fixed in PR 1.
-    - ["corrupt-shared-stream"]: [Engine.corrupt ~channels:true] draws its
+    - ["corrupt-shared-stream"]: [Sim.corrupt ~channels:true] draws its
       injected payloads and latencies from the engine's own stream instead
       of the per-victim split streams (the PR-2 schedule-coupling bug).
     - ["suppression-no-refresh"]: dirty-bit Info suppression never forces

@@ -219,15 +219,15 @@ let test_bb_serializes_on_hubs () =
   done;
   let tree = Tree.of_parents graph ~root:(Graph.n graph - 1) parents in
   let k0 = Tree.max_degree tree in
-  let engine = Bb.Engine.create ~seed:3 ~init:(`Custom (Bb.state_of_tree tree)) graph in
+  let engine = Bb.Sim.create ~seed:3 ~init:(`Custom (Bb.state_of_tree tree)) graph in
   let stop t =
-    match Bb.extract_degree graph (Bb.Engine.states t) with Some k -> k < k0 | None -> false
+    match Bb.extract_degree graph (Bb.Sim.states t) with Some k -> k < k0 | None -> false
   in
-  let o = Bb.Engine.run engine ~max_rounds:100_000 ~check_every:2 ~stop () in
+  let o = Bb.Sim.run engine ~max_rounds:100_000 ~check_every:2 ~stop () in
   check "eventually drops" true o.converged;
   (* The stop fires as soon as the last swap is visible, possibly before the
      root's phase acknowledgement arrives — hence the -1. *)
-  let root_state = Bb.Engine.state engine (Graph.n graph - 1) in
+  let root_state = Bb.Sim.state engine (Graph.n graph - 1) in
   check "about one phase per hub" true (Bb.phases root_state >= cliques - 1)
 
 let test_bb_membership_tables_grow () =
@@ -240,8 +240,8 @@ let test_bb_membership_tables_grow () =
 
 let test_bb_debug_dump () =
   let g = Gen.ring 6 in
-  let engine = Bb.Engine.create ~seed:1 ~init:(`Custom (Bb.state_of_tree (Mdst_graph.Algo.bfs_tree g ~root:0))) g in
-  let s = Bb.debug_dump (Bb.Engine.state engine 0) in
+  let engine = Bb.Sim.create ~seed:1 ~init:(`Custom (Bb.state_of_tree (Mdst_graph.Algo.bfs_tree g ~root:0))) g in
+  let s = Bb.debug_dump (Bb.Sim.state engine 0) in
   check "dump mentions phase" true (String.length s > 10)
 
 let () =

@@ -279,34 +279,19 @@ let test_conformance_lockstep () =
 
 (* The choosers agree: one fixture through Conformance in the engine's
    order, then the schedule it executed replayed strictly through the
-   fuzzer's and Parcheck's paths.  All three must be clean, or all three
-   must diverge at the same event; a clean Parcheck replay must also end
-   in Conformance's final states. *)
+   fuzzer's path.  Both must be clean, or both must diverge at the same
+   event. *)
 let choosers_agree ~variant ~expect line =
   let module Cf = Mdst_check.Conformance in
   let module L = Mdst_check.Lockstep in
   let module Fuzz = Mdst_check.Fuzz in
-  let module P = Mdst_check.Parcheck in
-  let module PS = P.Make (Mdst_core.Proto.Suppressed) (L.Suppressed_params) in
   let case = Cf.case_of_string line in
-  let run_case, replay =
-    match variant with
-    | `Default -> (Cf.Default.run_case, P.Default.replay)
-    | `Suppressed -> (Cf.Suppressed.run_case, PS.replay)
+  let run_case =
+    match variant with `Default -> Cf.Default.run_case | `Suppressed -> Cf.Suppressed.run_case
   in
   let r = run_case case in
   Alcotest.(check (option int)) "engine order" expect
     (Option.map (fun f -> f.L.index) r.L.failure);
-  let at = Option.map (Printf.sprintf "event %d (") expect in
-  let agrees what = function
-    | None -> Alcotest.(check (option string)) (what ^ " clean") at None
-    | Some detail -> (
-        match at with
-        | None -> Alcotest.failf "%s diverged: %s" what detail
-        | Some at ->
-            if not (contains detail at) then
-              Alcotest.failf "%s diverged elsewhere: %s" what detail)
-  in
   let sched = List.map Mdst_model.Model.event_to_string r.L.executed in
   let config =
     {
@@ -316,15 +301,17 @@ let choosers_agree ~variant ~expect line =
       engine_seed = case.Cf.seed;
       plan = Fault.empty;
       double_corrupt = false;
+      domains = 1;
+      daemon = `Async;
     }
   in
-  agrees "fuzz replay"
-    (match Fuzz.replay { Fuzz.config; sched; steps = List.length sched } with
-    | Ok () -> None
-    | Error (_, detail) -> Some detail);
-  agrees "parcheck replay"
-    (replay ~seed:case.Cf.seed ~init:case.Cf.init ~final:r.L.states
-       (Array.of_list r.L.executed) case.Cf.graph)
+  match (Fuzz.replay { Fuzz.config; sched; steps = List.length sched }, expect) with
+  | Ok (), None -> ()
+  | Ok (), Some i -> Alcotest.failf "fuzz replay clean, engine order diverged at event %d" i
+  | Error (_, detail), None -> Alcotest.failf "fuzz replay diverged: %s" detail
+  | Error (_, detail), Some i ->
+      if not (contains detail (Printf.sprintf "event %d (" i)) then
+        Alcotest.failf "fuzz replay diverged elsewhere: %s" detail
 
 let test_choosers_agree () =
   choosers_agree ~variant:`Default ~expect:None
@@ -389,18 +376,17 @@ let suite_cases =
 module Parcheck = Mdst_check.Parcheck
 
 let test_parcheck_conformance () =
-  (* The merged (time, shard, seq) schedule of a 2-shard run must replay
-     through the reference model AND be accepted by the sequential engine
-     with exact final-state equality. *)
+  (* The recorded schedule and final states of a run to the horizon are
+     identical at 1, 2 and 4 shards. *)
   let g = Mdst_graph.Gen.grid ~rows:3 ~cols:3 in
   let r =
     Parcheck.Default.run_case
-      { Parcheck.graph = g; seed = 7; init = `Random; domains = 2; until = 25.0 }
+      { Parcheck.graph = g; seed = 7; init = `Random; domains = [ 1; 2; 4 ]; until = 25.0 }
   in
   (match r.Parcheck.failure with
   | None -> ()
-  | Some why -> Alcotest.fail ("sharded schedule not conformant: " ^ why));
-  check "replayed a non-trivial schedule" true (r.Parcheck.events > 100)
+  | Some why -> Alcotest.fail ("trace depends on the shard count: " ^ why));
+  check "recorded a non-trivial schedule" true (r.Parcheck.events > 100)
 
 let test_parcheck_fingerprints () =
   let g = Mdst_graph.Gen.grid ~rows:3 ~cols:3 in

@@ -250,8 +250,8 @@ let test_spanning_tree_module () =
   let g = Gen.with_random_ids (Prng.create 3) (Gen.grid ~rows:3 ~cols:4) in
   let engine = Run.make_engine ~seed:4 ~init:`Random g in
   let stop = Run.make_stop ~fixpoint () in
-  ignore (Run.Engine.run engine ~max_rounds:40_000 ~check_every:2 ~stop ());
-  let states = Run.Engine.states engine in
+  ignore (Run.Sim.run engine ~max_rounds:40_000 ~check_every:2 ~stop ());
+  let states = Run.Sim.states engine in
   let verdict = Checker.inspect g states in
   check "spanning" true verdict.spanning;
   check "rooted at min id" true verdict.rooted_at_min_id;
@@ -422,8 +422,8 @@ let test_transplant_preserves_views_by_id () =
   let old_graph = Gen.ring 6 in
   let engine = Run.make_engine ~seed:3 old_graph in
   let stop = Run.make_stop ~fixpoint () in
-  ignore (Run.Engine.run engine ~max_rounds:20_000 ~check_every:2 ~stop ());
-  let states = Run.Engine.states engine in
+  ignore (Run.Sim.run engine ~max_rounds:20_000 ~check_every:2 ~stop ());
+  let states = Run.Sim.states engine in
   (* Add a chord: old neighbours keep their mirror, the new one is unknown. *)
   match Mdst_core.Transplant.add_random_edge (Prng.create 4) old_graph with
   | None -> Alcotest.fail "ring is not complete"
@@ -474,23 +474,23 @@ let test_recover_after_tree_edge_loss () =
   let graph = Gen.erdos_renyi_connected (Prng.create 11) ~n:12 ~p:0.35 in
   let engine = Run.make_engine ~seed:6 graph in
   let stop = Run.make_stop ~fixpoint () in
-  let o1 = Run.Engine.run engine ~max_rounds:30_000 ~check_every:2 ~stop () in
+  let o1 = Run.Sim.run engine ~max_rounds:30_000 ~check_every:2 ~stop () in
   check "initial convergence" true o1.converged;
-  let tree = Option.get (Checker.tree_of_states graph (Run.Engine.states engine)) in
+  let tree = Option.get (Checker.tree_of_states graph (Run.Sim.states engine)) in
   match Mdst_core.Transplant.remove_tree_edge (Prng.create 2) graph tree with
   | None -> Alcotest.fail "no removable tree edge"
   | Some (graph', _) ->
       let moved =
         Mdst_core.Transplant.states ~old_graph:graph ~new_graph:graph'
-          (Run.Engine.states engine)
+          (Run.Sim.states engine)
       in
       let engine' =
-        Run.Engine.create ~seed:7
+        Run.Sim.create ~seed:7
           ~init:(`Custom (fun ctx _ -> moved.(ctx.Mdst_sim.Node.node)))
           graph'
       in
       let stop' = Run.make_stop ~fixpoint () in
-      let o2 = Run.Engine.run engine' ~max_rounds:30_000 ~check_every:2 ~stop:stop' () in
+      let o2 = Run.Sim.run engine' ~max_rounds:30_000 ~check_every:2 ~stop:stop' () in
       check "re-stabilized" true o2.converged
 
 let test_graceful_reattach_mechanism () =
@@ -506,14 +506,14 @@ let test_graceful_reattach_mechanism () =
   let module GR = Run.Runner (Mdst_core.Proto.Graceful) in
   let engine = GR.make_engine ~seed:4 ~init:(`Tree t0) g in
   let stop = GR.make_stop ~fixpoint () in
-  ignore (GR.Engine.run engine ~max_rounds:20_000 ~check_every:2 ~stop ());
+  ignore (GR.Sim.run engine ~max_rounds:20_000 ~check_every:2 ~stop ());
   (* Break the edge and transplant onto the graph without it. *)
   let g' = Graph.of_edges ~n:6 [ (0, 1); (1, 2); (2, 3); (2, 4); (4, 5); (1, 5) ] in
   let moved =
-    Mdst_core.Transplant.states ~old_graph:g ~new_graph:g' (GR.Engine.states engine)
+    Mdst_core.Transplant.states ~old_graph:g ~new_graph:g' (GR.Sim.states engine)
   in
   let engine' =
-    GR.Engine.create ~seed:5 ~init:(`Custom (fun ctx _ -> moved.(ctx.Mdst_sim.Node.node))) g'
+    GR.Sim.create ~seed:5 ~init:(`Custom (fun ctx _ -> moved.(ctx.Mdst_sim.Node.node))) g'
   in
   let module W = Mdst_core.Invariants.Watch (Mdst_core.Proto.Graceful) in
   let stop = GR.make_stop ~fixpoint () in
@@ -530,8 +530,8 @@ let test_colors_agree_at_fixpoint () =
   let g = Gen.erdos_renyi_connected (Prng.create 6) ~n:12 ~p:0.3 in
   let engine = Run.make_engine ~seed:9 ~init:`Random g in
   let stop = Run.make_stop ~fixpoint () in
-  ignore (Run.Engine.run engine ~max_rounds:40_000 ~check_every:2 ~stop ());
-  let states = Run.Engine.states engine in
+  ignore (Run.Sim.run engine ~max_rounds:40_000 ~check_every:2 ~stop ());
+  let states = Run.Sim.states engine in
   let colors = Array.map (fun (st : State.t) -> st.State.color) states in
   check "single colour across the tree" true
     (Array.for_all (fun c -> c = colors.(0)) colors)
@@ -661,7 +661,7 @@ let test_tree_init_is_instantly_coherent () =
   let g = Gen.grid ~rows:3 ~cols:3 in
   let t0 = Mdst_graph.Algo.bfs_tree g ~root:0 in
   let engine = Run.make_engine ~seed:2 ~init:(`Tree t0) g in
-  let v = Checker.inspect g (Run.Engine.states engine) in
+  let v = Checker.inspect g (Run.Sim.states engine) in
   check "spanning at birth" true v.spanning;
   check "distances at birth" true v.distances_consistent;
   check "dmax cold at birth" false v.dmax_consistent
@@ -679,7 +679,7 @@ let test_pengine_k_invariance () =
   (* The sharded engine's schedule is independent of the shard count by
      construction; the observable outcome must be bit-identical across k. *)
   let g = Gen.grid ~rows:4 ~cols:4 in
-  let run d = Run.converge_par ~seed:5 ~init:`Random ~max_rounds:20_000 ~domains:d g in
+  let run d = Run.converge ~seed:5 ~init:`Random ~max_rounds:20_000 ~domains:d ~window:8.0 g in
   let r1 = run 1 and r2 = run 2 and r3 = run 3 in
   check "k=1 converges" true r1.Run.converged;
   List.iter
@@ -690,16 +690,67 @@ let test_pengine_k_invariance () =
       Alcotest.(check (option int)) (label ^ " same degree") r1.Run.degree r.Run.degree)
     [ ("k=2", r2); ("k=3", r3) ]
 
+(* Trace identity: on ER n=24 the observer timeline (every tick, delivery
+   and fault action, with its round and time) and the final states are the
+   same at 1, 2 and 4 shards — from a clean start, and from a random one
+   under a channel-fault plan on four of the graph's channels. *)
+let test_pengine_timeline_identity () =
+  let module Fault = Mdst_sim.Fault in
+  let g = Gen.erdos_renyi_connected (Prng.create 24) ~n:24 ~p:(4.0 /. 23.0) in
+  let edges = Graph.edges g in
+  (* Narrow windows: a fault fires or not on the exact causal round of
+     the sending event, which must not depend on the shard count. *)
+  let window i = { Fault.from_round = 10 * (i + 1); upto_round = (10 * (i + 1)) + 1 } in
+  let chan i = edges.(i * Array.length edges / 4) in
+  let plan =
+    {
+      Fault.plan_seed = 5;
+      events =
+        [
+          (let src, dst = chan 0 in
+           Fault.Drop { window = window 0; src; dst; prob = 0.9 });
+          (let src, dst = chan 1 in
+           Fault.Duplicate { window = window 1; src; dst; prob = 0.9; copies = 1 });
+          (let dst, src = chan 2 in
+           Fault.Reorder { window = window 2; src; dst; prob = 0.9; delay = 2.0 });
+          (let src, dst = chan 3 in
+           Fault.Corrupt { window = window 3; src; dst; prob = 0.9 });
+        ];
+    }
+  in
+  let timeline ~init ~plan domains =
+    let e = Run.make_engine ~seed:3 ~init ~domains g in
+    Run.Sim.install_faults e plan;
+    let obs = ref [] in
+    Run.Sim.observe e (fun o -> obs := o :: !obs);
+    ignore (Run.Sim.run e ~max_rounds:120 ~stop:(fun _ -> false) ());
+    (List.rev !obs, Array.copy (Run.Sim.states e), Run.Sim.fault_stats e)
+  in
+  List.iter
+    (fun (label, init, plan) ->
+      let obs1, states1, stats1 = timeline ~init ~plan 1 in
+      check (label ^ ": faults fired") true (Fault.is_empty plan || Fault.total stats1 > 0);
+      List.iter
+        (fun k ->
+          let obs, states, stats = timeline ~init ~plan k in
+          Alcotest.(check int) (Printf.sprintf "%s k=%d: observations" label k)
+            (List.length obs1) (List.length obs);
+          check (Printf.sprintf "%s k=%d: same timeline" label k) true (obs = obs1);
+          check (Printf.sprintf "%s k=%d: same final states" label k) true (states = states1);
+          check (Printf.sprintf "%s k=%d: same fault actions" label k) true (stats = stats1))
+        [ 2; 4 ])
+    [ ("clean", `Clean, Fault.empty); ("faults", `Random, plan) ]
+
 let test_pengine_repeat_determinism () =
   let g = Gen.grid ~rows:3 ~cols:3 in
-  let run () = Run.converge_par ~seed:11 ~init:`Random ~max_rounds:20_000 ~domains:2 g in
+  let run () = Run.converge ~seed:11 ~init:`Random ~max_rounds:20_000 ~domains:2 g in
   let a = run () and b = run () in
   Alcotest.(check int) "same rounds across runs" a.Run.rounds b.Run.rounds;
   Alcotest.(check int) "same messages across runs" a.Run.total_messages b.Run.total_messages
 
 let test_pengine_stabilizes_to_legit_tree () =
   let g = Gen.grid ~rows:4 ~cols:4 in
-  let r = Run.converge_par ~seed:9 ~init:`Random ~max_rounds:30_000 ~fixpoint ~domains:2 g in
+  let r = Run.converge ~seed:9 ~init:`Random ~max_rounds:30_000 ~fixpoint ~domains:2 g in
   check "converged" true r.converged;
   match r.tree with
   | Some t -> check "FR fixpoint reached" true (fixpoint t)
@@ -991,6 +1042,8 @@ let () =
         ] );
       ( "pengine",
         [
+          Alcotest.test_case "timeline identical at 1, 2 and 4 shards" `Quick
+            test_pengine_timeline_identity;
           Alcotest.test_case "outcome invariant in shard count" `Quick test_pengine_k_invariance;
           Alcotest.test_case "repeat determinism" `Quick test_pengine_repeat_determinism;
           Alcotest.test_case "stabilizes to FR fixpoint" `Quick

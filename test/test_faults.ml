@@ -46,7 +46,7 @@ module Count = struct
   let state_bits ~n:_ _ = 8
 end
 
-module E = Mdst_sim.Engine.Make (Count)
+module E = Mdst_sim.Pengine.Make (Count)
 
 (* A mute automaton: the only traffic is what the test injects, so delivery
    counts and arrival times can be asserted exactly. *)
@@ -74,7 +74,7 @@ module Silent = struct
   let state_bits ~n:_ _ = 8
 end
 
-module S = Mdst_sim.Engine.Make (Silent)
+module S = Mdst_sim.Pengine.Make (Silent)
 
 let path3 () = Graph.of_edges ~n:3 [ (0, 1); (1, 2) ]
 
@@ -157,7 +157,7 @@ let test_corrupt_channels_same_schedule () =
     let nvictims = E.corrupt e ~fraction:0.25 ~channels () in
     let sched = ref [] in
     E.observe e (function
-      | Mdst_sim.Engine.Obs_deliver { src; dst; label = "ping"; time; _ } ->
+      | Mdst_sim.Pengine.Obs_deliver { src; dst; label = "ping"; time; _ } ->
           sched := (src, dst, time) :: !sched
       | _ -> ());
     ignore (E.run e ~max_rounds:60 ~check_every:1 ~stop:(fun _ -> false) ());
@@ -181,7 +181,7 @@ let test_fault_detail_formatting () =
   E.install_faults e (Fault.of_string "seed=1|dup:0-100000:0>1:1:2|crash:5:2:init");
   let seen = ref [] in
   E.observe e (function
-    | Mdst_sim.Engine.Obs_fault { kind; detail; _ } -> seen := (kind, detail) :: !seen
+    | Mdst_sim.Pengine.Obs_fault { kind; detail; _ } -> seen := (kind, detail) :: !seen
     | _ -> ());
   ignore (E.run e ~max_rounds:20 ~check_every:1 ~stop:(fun _ -> false) ());
   check "dup detail names channel and copies" true (List.mem ("dup", "0>1 x2") !seen);
@@ -232,7 +232,7 @@ let test_fault_observations () =
   let e = E.create ~seed:17 graph in
   E.install_faults e (Fault.of_string "seed=1|drop:0-40:0>1:1|crash:5:2:init|cut:3:0-1|link:3:0-2|link:4:0-2");
   let seen = ref 0 in
-  E.observe e (function Mdst_sim.Engine.Obs_fault _ -> incr seen | _ -> ());
+  E.observe e (function Mdst_sim.Pengine.Obs_fault _ -> incr seen | _ -> ());
   ignore (E.run e ~max_rounds:60 ~check_every:1 ~stop:(fun _ -> false) ());
   let s = E.fault_stats e in
   Alcotest.(check int) "every fault action observed (skips included)"
@@ -303,10 +303,10 @@ let test_reshape () =
   ignore (E.run e ~max_rounds:30 ~check_every:1 ~stop:(fun _ -> false) ());
   check "new channel live after reshape" true (received e ~src:2 ~dst:0 <> []);
   Alcotest.check_raises "node-count mismatch rejected"
-    (Invalid_argument "Engine.reshape: node count must be preserved") (fun () ->
+    (Invalid_argument "Pengine.reshape: node count must be preserved") (fun () ->
       E.reshape e (Gen.ring 4));
   Alcotest.check_raises "disconnected replacement rejected"
-    (Invalid_argument "Engine.reshape: graph must stay connected") (fun () ->
+    (Invalid_argument "Pengine.reshape: graph must stay connected") (fun () ->
       E.reshape e (Graph.of_edges ~n:3 [ (0, 1) ]))
 
 (* ---------------- exact-replay regression matrix ----------------

@@ -65,6 +65,8 @@ let entry ?(sched = []) ?steps () =
       engine_seed = 7;
       plan = Fault.empty;
       double_corrupt = false;
+      domains = 1;
+      daemon = `Async;
     }
   in
   let steps = match steps with Some s -> s | None -> List.length sched in
@@ -87,7 +89,7 @@ let test_replay_ineligible_channel () =
   fails_closed "empty channel" (entry ~sched:[ "0>1" ] ())
 
 let test_step_with_out_of_range () =
-  let module E = Mdst_sim.Engine.Make (Mdst_core.Proto.Default) in
+  let module E = Mdst_sim.Pengine.Make (Mdst_core.Proto.Default) in
   let e = E.create ~seed:1 ~init:`Clean (triangle ()) in
   check "out-of-range choice rejected" true
     (try

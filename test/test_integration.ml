@@ -142,17 +142,17 @@ let test_trajectory_monotone_at_fixpoint () =
   let g = Gen.grid ~rows:3 ~cols:3 in
   let engine = Run.make_engine ~seed:31 ~init:`Clean g in
   let stop = Run.make_stop ~fixpoint () in
-  let o1 = Run.Engine.run engine ~max_rounds:30_000 ~check_every:2 ~stop () in
+  let o1 = Run.Sim.run engine ~max_rounds:30_000 ~check_every:2 ~stop () in
   check "converged" true o1.converged;
-  let deg1 = Mdst_core.Checker.tree_degree_now g (Run.Engine.states engine) in
+  let deg1 = Mdst_core.Checker.tree_degree_now g (Run.Sim.states engine) in
   (* Keep executing: the tree must not change any more. *)
   for _ = 1 to 20_000 do
-    ignore (Run.Engine.step engine)
+    ignore (Run.Sim.step engine)
   done;
-  let deg2 = Mdst_core.Checker.tree_degree_now g (Run.Engine.states engine) in
+  let deg2 = Mdst_core.Checker.tree_degree_now g (Run.Sim.states engine) in
   Alcotest.(check (option int)) "closure: tree stable after convergence" deg1 deg2;
   check "still legitimate" true
-    (Mdst_core.Checker.legitimate g (Run.Engine.states engine))
+    (Mdst_core.Checker.legitimate g (Run.Sim.states engine))
 
 let prop_transplant_identity =
   QCheck.Test.make ~name:"transplant onto the same graph is the identity" ~count:30
@@ -161,9 +161,9 @@ let prop_transplant_identity =
       let g = Gen.erdos_renyi_connected (Prng.create seed) ~n ~p:0.3 in
       let engine = Run.make_engine ~seed g in
       for _ = 1 to 2000 do
-        ignore (Run.Engine.step engine)
+        ignore (Run.Sim.step engine)
       done;
-      let states = Run.Engine.states engine in
+      let states = Run.Sim.states engine in
       let moved = Mdst_core.Transplant.states ~old_graph:g ~new_graph:g states in
       Array.for_all2 (fun (a : Mdst_core.State.t) b -> a = b) states moved)
 

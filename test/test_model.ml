@@ -10,7 +10,7 @@
 module Graph = Mdst_graph.Graph
 module Model = Mdst_model.Model
 module Projection = Mdst_core.Projection
-module E = Mdst_sim.Engine.Make (Mdst_core.Proto.Default)
+module E = Mdst_sim.Pengine.Make (Mdst_core.Proto.Default)
 
 type fixture = { fname : string; graph : Graph.t; seed : int; events : int }
 
@@ -35,7 +35,7 @@ let trace_lines fx =
   in
   let pending = ref None in
   E.observe engine (function
-    | Mdst_sim.Engine.Obs_tick { node; _ } -> pending := Some (Model.Tick node)
+    | Mdst_sim.Pengine.Obs_tick { node; _ } -> pending := Some (Model.Tick node)
     | Obs_deliver { src; dst; _ } -> pending := Some (Model.Deliver { src; dst })
     | Obs_fault _ -> ());
   let lines = ref [] in

@@ -36,12 +36,12 @@ let run_pif ?(init = `Clean) ?(max_rounds = 4000) graph values =
   let input = make_pif_modules graph values in
   let module I = (val input) in
   let module A = Pif.Make (I) in
-  let module E = Mdst_sim.Engine.Make (A) in
+  let module E = Mdst_sim.Pengine.Make (A) in
   let engine = E.create ~seed:7 ~init graph in
   let root = Graph.min_id_node graph in
   let expected = Array.fold_left max min_int values in
   let stop t = (E.state t root).Pif.result = Some expected in
-  let outcome = E.run engine ~max_rounds ~stop () in
+  let outcome = E.run engine ~max_rounds ~check_every:1 ~stop () in
   (outcome.converged, E.state engine root)
 
 let test_pif_computes_max () =
@@ -83,11 +83,11 @@ let test_pif_repeated_waves_stay_correct () =
   let input = make_pif_modules graph values in
   let module I = (val input) in
   let module A = Pif.Make (I) in
-  let module E = Mdst_sim.Engine.Make (A) in
+  let module E = Mdst_sim.Pengine.Make (A) in
   let engine = E.create ~seed:3 graph in
   let root = Graph.min_id_node graph in
   let stop t = (E.state t root).Pif.result = Some 7 in
-  let o = E.run engine ~max_rounds:4000 ~stop () in
+  let o = E.run engine ~max_rounds:4000 ~check_every:1 ~stop () in
   check "first completion" true o.converged;
   for _ = 1 to 20_000 do
     ignore (E.step engine)
@@ -107,7 +107,7 @@ let prop_pif_random_trees =
 
 (* ---------------- Synchronous engine ---------------- *)
 
-module SyncFlood = Mdst_sim.Sync_engine.Make (struct
+module SyncFlood = Mdst_sim.Pengine.Make (struct
   type state = int list (* received values *)
 
   type msg = int
@@ -136,11 +136,11 @@ end)
 let test_sync_lockstep_delivery () =
   let g = Gen.ring 4 in
   let e = SyncFlood.create ~seed:1 g in
-  SyncFlood.round e;
+  SyncFlood.sync_round e;
   (* Round 1: everyone ticked and sent; nothing delivered yet. *)
   Array.iter (fun st -> Alcotest.(check int) "no deliveries in round 1" 0 (List.length st))
     (SyncFlood.states e);
-  SyncFlood.round e;
+  SyncFlood.sync_round e;
   (* Round 2: the round-1 messages arrive — exactly 2 per ring node. *)
   Array.iter (fun st -> Alcotest.(check int) "2 deliveries in round 2" 2 (List.length st))
     (SyncFlood.states e);
@@ -151,7 +151,7 @@ let test_sync_deterministic () =
   let run () =
     let e = SyncFlood.create ~seed:5 g in
     for _ = 1 to 50 do
-      SyncFlood.round e
+      SyncFlood.sync_round e
     done;
     Array.to_list (SyncFlood.states e)
   in
@@ -172,6 +172,70 @@ let test_sync_rejects_disconnected () =
        ignore (SyncFlood.create g);
        false
      with Invalid_argument _ -> true)
+
+(* The synchronous daemon is a policy over the engine's eligible set:
+   one event at a time or one round at a time, the same execution. *)
+let test_sync_step_matches_round () =
+  let g = Gen.erdos_renyi_connected (Prng.create 3) ~n:12 ~p:0.3 in
+  let module S = Mdst_core.Run.Sim in
+  let by_round = Mdst_core.Run.make_engine ~seed:10 ~init:`Random g in
+  for _ = 1 to 40 do
+    S.sync_round by_round
+  done;
+  let by_step = Mdst_core.Run.make_engine ~seed:10 ~init:`Random g in
+  for _ = 1 to S.events by_round do
+    ignore (S.step_sync by_step)
+  done;
+  Alcotest.(check int) "rounds" 40 (S.rounds by_step);
+  check "same states" true (S.states by_round = S.states by_step);
+  Alcotest.(check int) "same messages"
+    (Mdst_sim.Metrics.total_messages (S.metrics by_round))
+    (Mdst_sim.Metrics.total_messages (S.metrics by_step))
+
+(* golden/sync_daemon.txt was recorded with the dedicated lockstep engine
+   this policy replaced: per ER n=12 graph 0..9 and seed 0..9, from a
+   clean start and from the BFS tree at node 0, "graph seed start
+   converged fingerprint rounds messages" of a run to the FR fixpoint
+   (5,000-round cap), then two flood runs "flood name rounds rounds'
+   messages states".  The policy must reproduce every line. *)
+let test_sync_matches_lockstep_engine () =
+  let lines =
+    In_channel.with_open_text "golden/sync_daemon.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check int) "pinned lines" 202 (List.length lines);
+  List.iter
+    (fun line ->
+      let got =
+        match String.split_on_char ' ' line with
+        | [ "flood"; name; rounds; _; _; _ ] ->
+            let g = if name = "ring4" then Gen.ring 4 else Gen.grid ~rows:3 ~cols:3 in
+            let e = SyncFlood.create ~seed:5 g in
+            for _ = 1 to int_of_string rounds do
+              SyncFlood.sync_round e
+            done;
+            let show l = String.concat "," (List.map string_of_int l) in
+            Printf.sprintf "flood %s %s %d %d %s" name rounds (SyncFlood.rounds e)
+              (Mdst_sim.Metrics.total_messages (SyncFlood.metrics e))
+              (String.concat "|" (Array.to_list (Array.map show (SyncFlood.states e))))
+        | graph :: seed :: start :: _ ->
+            let g = Gen.erdos_renyi_connected (Prng.create (int_of_string graph)) ~n:12 ~p:0.3 in
+            let init =
+              if start = "clean" then `Clean
+              else `Tree (Mdst_graph.Algo.bfs_tree g ~root:0)
+            in
+            let r =
+              Mdst_core.Sync_run.converge ~seed:(int_of_string seed) ~init ~max_rounds:5000
+                ~fixpoint:(fun t -> not (Mdst_baseline.Fr.improvable t))
+                g
+            in
+            Printf.sprintf "%s %s %s %b %d %d %d" graph seed start r.converged r.fingerprint
+              r.rounds r.total_messages
+        | _ -> Alcotest.failf "malformed pin %S" line
+      in
+      Alcotest.(check string) "pinned run" line got)
+    lines
 
 (* ---------------- Protocol under the synchronous daemon ---------------- *)
 
@@ -237,6 +301,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sync_deterministic;
           Alcotest.test_case "corrupt/set_state" `Quick test_sync_corrupt_and_set;
           Alcotest.test_case "rejects disconnected" `Quick test_sync_rejects_disconnected;
+          Alcotest.test_case "step and round policies agree" `Quick test_sync_step_matches_round;
+          Alcotest.test_case "matches the lockstep engine" `Quick test_sync_matches_lockstep_engine;
         ] );
       ( "sync-protocol",
         [

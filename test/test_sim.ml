@@ -122,7 +122,7 @@ module Flood = struct
   let state_bits ~n:_ st = 8 * (1 + List.length st.received)
 end
 
-module FloodEngine = Mdst_sim.Engine.Make (Flood)
+module FloodEngine = Mdst_sim.Pengine.Make (Flood)
 
 let run_flood ?latency ~seed ~steps graph =
   let e = FloodEngine.create ?latency ~seed graph in
@@ -211,7 +211,7 @@ let test_engine_run_stop () =
   let graph = Gen.ring 5 in
   let e = FloodEngine.create ~seed:3 graph in
   let outcome =
-    FloodEngine.run e ~max_rounds:10_000 ~stop:(fun t -> FloodEngine.rounds t >= 50) ()
+    FloodEngine.run e ~max_rounds:10_000 ~check_every:1 ~stop:(fun t -> FloodEngine.rounds t >= 50) ()
   in
   check "stopped by predicate" true outcome.converged;
   check "stopped promptly" true (FloodEngine.rounds e < 80)
@@ -219,7 +219,7 @@ let test_engine_run_stop () =
 let test_engine_max_rounds () =
   let graph = Gen.ring 5 in
   let e = FloodEngine.create ~seed:3 graph in
-  let outcome = FloodEngine.run e ~max_rounds:30 ~stop:(fun _ -> false) () in
+  let outcome = FloodEngine.run e ~max_rounds:30 ~check_every:1 ~stop:(fun _ -> false) () in
   check "did not converge" false outcome.converged;
   check "bounded" true (FloodEngine.rounds e <= 40)
 
@@ -294,18 +294,18 @@ module Relay = struct
   let state_bits ~n:_ _ = 8
 end
 
-module RelayEngine = Mdst_sim.Engine.Make (Relay)
+module RelayEngine = Mdst_sim.Pengine.Make (Relay)
 
 let test_engine_observer () =
   let graph = Gen.ring 5 in
   let e = FloodEngine.create ~seed:3 graph in
   let ticks = ref 0 and delivers = ref 0 in
   FloodEngine.observe e (function
-    | Mdst_sim.Engine.Obs_tick _ -> incr ticks
-    | Mdst_sim.Engine.Obs_deliver { label; _ } ->
+    | Mdst_sim.Pengine.Obs_tick _ -> incr ticks
+    | Mdst_sim.Pengine.Obs_deliver { label; _ } ->
         Alcotest.(check string) "label" "flood" label;
         incr delivers
-    | Mdst_sim.Engine.Obs_fault _ -> Alcotest.fail "no faults installed");
+    | Mdst_sim.Pengine.Obs_fault _ -> Alcotest.fail "no faults installed");
   for _ = 1 to 400 do
     ignore (FloodEngine.step e)
   done;
@@ -336,26 +336,26 @@ let test_trace_records_and_filters () =
   check "flood label counted" true (List.mem_assoc "flood" labels);
   let only_msgs = Trace.create () in
   (* default filter keeps non-info deliveries only *)
-  Trace.record only_msgs (Mdst_sim.Engine.Obs_tick { node = 0; round = 1; time = 0.0 });
+  Trace.record only_msgs (Mdst_sim.Pengine.Obs_tick { node = 0; round = 1; time = 0.0 });
   Alcotest.(check int) "ticks filtered" 0 (Trace.recorded only_msgs);
   Trace.record only_msgs
-    (Mdst_sim.Engine.Obs_deliver { src = 0; dst = 1; label = "info"; round = 1; time = 0.0 });
+    (Mdst_sim.Pengine.Obs_deliver { src = 0; dst = 1; label = "info"; round = 1; time = 0.0 });
   Alcotest.(check int) "info filtered" 0 (Trace.recorded only_msgs);
   Trace.record only_msgs
-    (Mdst_sim.Engine.Obs_deliver { src = 0; dst = 1; label = "search"; round = 1; time = 0.0 });
+    (Mdst_sim.Pengine.Obs_deliver { src = 0; dst = 1; label = "search"; round = 1; time = 0.0 });
   Alcotest.(check int) "protocol msg kept" 1 (Trace.recorded only_msgs)
 
 let test_trace_ring_eviction () =
   let trace = Trace.create ~capacity:4 ~keep:(fun _ -> true) () in
   for i = 1 to 10 do
     Trace.record trace
-      (Mdst_sim.Engine.Obs_deliver { src = i; dst = 0; label = "m"; round = i; time = 0.0 })
+      (Mdst_sim.Pengine.Obs_deliver { src = i; dst = 0; label = "m"; round = i; time = 0.0 })
   done;
   Alcotest.(check int) "all recorded" 10 (Trace.recorded trace);
   let evs = Trace.events trace in
   Alcotest.(check int) "only capacity retained" 4 (List.length evs);
   (match List.hd evs with
-  | Mdst_sim.Engine.Obs_deliver { src; _ } -> Alcotest.(check int) "oldest retained is #7" 7 src
+  | Mdst_sim.Pengine.Obs_deliver { src; _ } -> Alcotest.(check int) "oldest retained is #7" 7 src
   | _ -> Alcotest.fail "unexpected event");
   check "render limit" true
     (String.length (Trace.render ~limit:2 trace) < String.length (Trace.render trace));
@@ -367,7 +367,7 @@ let test_rounds_reflect_causal_depth () =
   let graph = Gen.path n in
   let e = RelayEngine.create ~seed:2 graph in
   let outcome =
-    RelayEngine.run e ~max_rounds:10_000
+    RelayEngine.run e ~max_rounds:10_000 ~check_every:1
       ~stop:(fun t -> (RelayEngine.state t (n - 1)).Relay.hops <> None)
       ()
   in
