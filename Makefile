@@ -48,10 +48,12 @@ fuzz-long: build
 mutate: build
 	$(SIM) mutate
 
-# Opt-in liveness sweep (a few minutes): 2,000 5x5 grids and 1,500 ER
-# n=20 instances to the FR fixpoint at an 8,000-round cap, on the
-# sequential engine and on the sharded engine with one domain.  Prints a
-# one-line reproducer per stall and fails if there is any.
+# Opt-in liveness sweep (a few minutes): to the FR fixpoint at an
+# 8,000-round cap, 2,000 5x5 grids, 1,500 ER n=20 instances and
+# perfbench's er-clean seed 6 under the asynchronous daemon, then 500 4x4
+# grids and 1,000 ER n=12-24 instances from random starts under the
+# synchronous daemon.  Prints a one-line reproducer per stall and fails if
+# there is any.
 liveness: build
 	$(DUNE) exec bench/liveness.exe
 
@@ -76,16 +78,16 @@ bench-parallel: build
 	$(SIM) bench --out BENCH_engine.json
 	$(SIM) pardet -f grid -n 64 -s 11 --domains 1,2,4
 
-# Parallel determinism gate alone: sharded-schedule conformance (model +
-# sequential-engine replay) and fingerprint equivalence across 1/2/4
-# shards.  Non-zero exit on any divergence.
+# Parallel determinism gate alone: identical recorded schedules and final
+# states, then identical quiescence fingerprints, across 1/2/4 shards.
+# Non-zero exit on any divergence.
 pardet: build
 	$(SIM) pardet -f grid -n 36 -s 7 --domains 1,2,4
 	$(SIM) pardet -f er -n 24 -s 3 --init clean --domains 1,2,4
 
 # Regression guard: re-measure quick engine points and compare against the
 # committed trajectory (fails on an events/sec drop beyond 30% on any
-# matching (topology, n, domains) key; v1 baselines parse as domains=1).
+# matching (topology, n, domains) key).
 bench-guard: build
 	$(SIM) bench --quick --out /tmp/BENCH_engine_fresh.json --baseline BENCH_engine.json
 

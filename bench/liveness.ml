@@ -69,25 +69,31 @@ let er n rng =
   Gen.with_random_ids rng (Gen.erdos_renyi_connected rng ~n ~p:(4.0 /. float_of_int (n - 1)))
 
 let () =
-  let stalls =
+  (* One sweep after the other, in this order (a list's elements would be
+     evaluated right to left). *)
+  let sweeps =
     [
-      sweep ~family:"grid5x5" ~daemon:"async" ~instances:2000 ~root:(Prng.create 12345)
-        (seeded grid) async;
-      sweep ~family:"er20" ~daemon:"async" ~instances:1500 ~root:(Prng.create 20)
-        (seeded er20) async;
-      sweep ~family:"er-clean/6" ~daemon:"async" ~instances:96
-        ~root:(Prng.create (Prng.seed_of_string "er-clean/6"))
-        er_clean async;
-      sweep ~family:"grid4x4" ~daemon:"sync" ~instances:500 ~root:(Prng.create 44)
-        (seeded (fun rng -> Gen.with_random_ids rng (Gen.grid ~rows:4 ~cols:4)))
-        sync;
+      (fun () ->
+        sweep ~family:"grid5x5" ~daemon:"async" ~instances:2000 ~root:(Prng.create 12345)
+          (seeded grid) async);
+      (fun () ->
+        sweep ~family:"er20" ~daemon:"async" ~instances:1500 ~root:(Prng.create 20)
+          (seeded er20) async);
+      (fun () ->
+        sweep ~family:"er-clean/6" ~daemon:"async" ~instances:96
+          ~root:(Prng.create (Prng.seed_of_string "er-clean/6"))
+          er_clean async);
+      (fun () ->
+        sweep ~family:"grid4x4" ~daemon:"sync" ~instances:500 ~root:(Prng.create 44)
+          (seeded (fun rng -> Gen.with_random_ids rng (Gen.grid ~rows:4 ~cols:4)))
+          sync);
     ]
     @ List.map
-        (fun n ->
+        (fun n () ->
           sweep ~family:(Printf.sprintf "er%d" n) ~daemon:"sync" ~instances:250
             ~root:(Prng.create n) (seeded (er n)) sync)
         [ 12; 16; 20; 24 ]
   in
-  let stalls = List.fold_left ( + ) 0 stalls in
+  let stalls = List.fold_left (fun acc run -> acc + run ()) 0 sweeps in
   Printf.printf "liveness: %d stall(s)\n" stalls;
   if stalls > 0 then exit 1

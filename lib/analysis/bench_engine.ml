@@ -9,7 +9,7 @@
 
    Since schema v2 the sweep also measures the engine's parallel windows
    ({!Mdst_sim.Pengine.Make.run_window}) at several domain counts: each parallel point
-   carries a [speedup] against the sequential engine on the same
+   carries a [speedup] against the one-shard engine on the same
    (topology, n), and the header records how many cores the machine
    actually had — a speedup measured on fewer cores than domains is an
    oversubscription datum, not a scaling claim.
@@ -60,39 +60,21 @@ let live_bytes () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
 
-let bench_point ~topology ~events graph =
-  let before = live_bytes () in
-  let engine = Run.make_engine ~seed:11 ~init:`Clean graph in
-  let t0 = Unix.gettimeofday () in
-  let stepped = ref 0 in
-  while !stepped < events && Run.Sim.step engine do
-    incr stepped
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let after = live_bytes () in
-  ignore (Sys.opaque_identity engine);
-  {
-    topology;
-    n = Graph.n graph;
-    m = Graph.m graph;
-    domains = 1;
-    events = !stepped;
-    elapsed_s = elapsed;
-    events_per_sec = (if elapsed > 0.0 then float_of_int !stepped /. elapsed else 0.0);
-    speedup = 1.0;
-    engine_bytes = max 0 (after - before);
-  }
-
-(* The parallel engine advances whole virtual-time windows, so the event
-   count overshoots the budget by at most one window's worth; the rate uses
-   the count actually executed. *)
-let bench_point_par ~topology ~events ~domains graph =
+(* One shard steps event by event; more shards advance whole virtual-time
+   windows, so their count overshoots the budget by at most one window's
+   worth — the rate uses the count actually executed. *)
+let bench_point ~topology ~events ~domains graph =
   let before = live_bytes () in
   let engine = Run.make_engine ~seed:11 ~init:`Clean ~domains graph in
   let t0 = Unix.gettimeofday () in
-  while Run.Sim.events engine < events do
-    Run.Sim.run_window engine ~until:(Run.Sim.now engine +. 8.0)
-  done;
+  if domains = 1 then
+    while Run.Sim.events engine < events && Run.Sim.step engine do
+      ()
+    done
+  else
+    while Run.Sim.events engine < events do
+      Run.Sim.run_window engine ~until:(Run.Sim.now engine +. 8.0)
+    done;
   let elapsed = Unix.gettimeofday () -. t0 in
   let executed = Run.Sim.events engine in
   let after = live_bytes () in
@@ -130,7 +112,7 @@ let with_speedups pts =
    dip on whichever (topology, n) happened to run first. *)
 let warmup () =
   let g = graph_for "er" 64 in
-  ignore (Sys.opaque_identity (bench_point ~topology:"er" ~events:5_000 g))
+  ignore (Sys.opaque_identity (bench_point ~topology:"er" ~events:5_000 ~domains:1 g))
 
 let points ?(quick = false) () =
   let events = event_budget ~quick in
@@ -139,7 +121,7 @@ let points ?(quick = false) () =
     List.concat_map
       (fun topology ->
         List.map
-          (fun n -> bench_point ~topology ~events (graph_for topology n))
+          (fun n -> bench_point ~topology ~events ~domains:1 (graph_for topology n))
           (sizes ~quick))
       [ "er"; "grid" ]
   in
@@ -150,7 +132,7 @@ let points ?(quick = false) () =
           (fun n ->
             let graph = graph_for topology n in
             List.map
-              (fun domains -> bench_point_par ~topology ~events ~domains graph)
+              (fun domains -> bench_point ~topology ~events ~domains graph)
               (par_domains ~quick))
           (par_sizes ~quick))
       [ "er"; "grid" ]

@@ -5,8 +5,8 @@
     goes through {!Make.run}; they differ only in the {!chooser}:
     {!Engine_order} for {!Conformance}, [Pick (uniform rng)] for
     {!Explore.S.walk}, [Pick (prefer ~fallback sched)] for {!Fuzz} and
-    [Pick (strict sched)] for {!Fuzz} replay and {!Parcheck}'s replay of a
-    sharded run's merged schedule.
+    [Pick (strict sched)] for {!Fuzz} replay, and [Sync] for fuzz entries
+    under the synchronous daemon.
 
     After every event the driver checks, in order: the delivered message
     equals the model's channel head on the full payload; the

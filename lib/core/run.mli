@@ -120,42 +120,6 @@ end
 (** The default protocol instance, re-exported at the top level. *)
 module Default_runner : module type of Runner (Proto.Default)
 
-module Sim = Default_runner.Sim
-
-val make_engine :
-  ?latency:Mdst_sim.Latency.t ->
-  ?seed:int ->
-  ?init:init ->
-  ?record:bool ->
-  ?partition:int array ->
-  ?domains:int ->
-  Mdst_graph.Graph.t ->
-  Sim.t
-
-val make_stop :
-  ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Sim.t -> bool
-
-val snapshot : Sim.t -> converged:bool -> result
-
-val converge :
-  ?latency:Mdst_sim.Latency.t ->
-  ?seed:int ->
-  ?init:init ->
-  ?max_rounds:int ->
-  ?quiet_rounds:int ->
-  ?fixpoint:(Mdst_graph.Tree.t -> bool) ->
-  ?domains:int ->
-  ?window:float ->
-  Mdst_graph.Graph.t ->
-  result
-
-val converge_corrupt_recover :
-  ?latency:Mdst_sim.Latency.t ->
-  ?seed:int ->
-  ?init:init ->
-  ?max_rounds:int ->
-  ?quiet_rounds:int ->
-  ?fixpoint:(Mdst_graph.Tree.t -> bool) ->
-  fraction:float ->
-  Mdst_graph.Graph.t ->
-  recovery
+include module type of struct
+  include Default_runner
+end

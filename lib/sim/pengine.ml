@@ -1,58 +1,23 @@
-(* The discrete-event engine: one shard core for the sequential, sharded
-   and synchronous daemons.
+(* The one discrete-event engine; pengine.mli states the contract (trace
+   identity across shard counts, round accounting, the daemons).
 
-   The graph is partitioned into [k] node-shards ({!Mdst_graph.Partition});
-   each shard owns the event heap, metrics and FIFO floors of its nodes.
-   With [k = 1] everything runs on the caller's domain and nothing is
-   spawned: that is the sequential engine.  With [k > 1], [run_window]
-   runs one shard per domain, cross-shard sends travel through bounded
-   SPSC mailboxes ({!Mdst_util.Mailbox}), and synchronisation is the
-   classic conservative protocol with the null messages collapsed into one
-   published clock per shard ({!Shard.Clocks}):
+   With [k > 1], [run_window] runs one shard per domain; cross-shard sends
+   travel through bounded SPSC mailboxes ({!Mdst_util.Mailbox}) and the
+   shards synchronise by the classic conservative protocol, its null
+   messages collapsed into one published clock per shard
+   ({!Shard.Clocks}).  Every latency model has a positive minimum delay d
+   (the lookahead): a shard whose clock reads [P] cannot cause a delivery
+   before [P + d].  A shard repeatedly (1) reads the clocks of the shards
+   with an edge into it, taking the minimum [hmin], (2) drains its
+   inboxes, (3) executes heap events strictly below
+   [B = min (hmin + d) window_end], (4) publishes
+   [min next_local_event (hmin + d)].  Read -> drain -> execute -> publish
+   makes [B] sound: a message timestamped below [hmin + d] was pushed
+   before its sender's clock was read, so step (2) sees it.  Progress: the
+   least published clock rises by at least d per round of passes.
 
-     - every latency model guarantees a positive minimum delay
-       ([Latency.min_delay], the {e lookahead} d): a shard whose clock
-       reads [P] cannot cause a delivery anywhere before [P + d];
-     - a shard repeatedly (1) reads the clocks of the shards with an edge
-       into it, taking the minimum [hmin], (2) drains its inboxes,
-       (3) executes heap events strictly below
-       [B = min (hmin + d) window_end], (4) publishes
-       [min next_local_event (hmin + d)].
-
-   The read -> drain -> execute -> publish order is what makes [B] sound:
-   a message from shard [s'] timestamped below [hmin + d] was necessarily
-   pushed before we read [s']'s clock (its sender executed below its
-   published bound), so step (2) sees it.  Progress is the standard
-   argument: the globally least published clock rises by at least [d] per
-   round of passes, so the shard holding the globally next event always
-   reaches a bound above it.
-
-   Everything else — [step], [step_with], the synchronous policy, faults,
-   corruption, [reshape] — runs on the caller between windows, over all
-   shard heaps at once, in the same [(time, key)] order.
-
-   The trace does not depend on [k]:
-
-     - {b (time, key) total order}: every event carries the packed key of
-       its creating shard and that shard's creation counter ({!Shard.key});
-       heaps tie-break on it ({!Mdst_util.Heap.push_at}).  Events created
-       outside a parallel window take their key from shard 0's counter, so
-       sequential driving numbers events in creation order at every [k].
-     - {b k-independent timestamps}: [create] draws ctx streams, initial
-       states, `Random channel contents and tick phases from the root
-       stream, then splits one latency stream per node; a send's delay
-       depends on its sender's history only.  Channel fault windows are
-       compared against the causal round of the sending event, which is
-       also [k]-independent.  Runs with different [k] execute the same
-       events at the same virtual times and could only differ on
-       cross-shard ties at {e exactly} equal float times (measure-zero
-       under the stochastic latency models).
-     - {b observations} made inside a window are buffered per shard and
-       merged in [(time, key)] order at the barrier, with the round
-       counter recomputed along the merge.
-
-   Scheduled fault events (crash / cut / link) mutate the graph under
-   every shard's feet and are accepted only at [k = 1]. *)
+   Everything else runs on the caller between windows, over all shard
+   heaps, in the same [(time, key)] order. *)
 
 module Prng = Mdst_util.Prng
 module Heap = Mdst_util.Heap
@@ -921,7 +886,11 @@ module Make (A : Node.AUTOMATON) = struct
     in
     go ()
 
-  let due_faults t = match t.faults with Some fs -> apply_due_faults t fs | None -> ()
+  (* Checked before every step: allocates nothing unless an event is due. *)
+  let due_faults t =
+    match t.faults with
+    | Some ({ pending = (r, _, _) :: _; _ } as fs) when r <= rounds t -> apply_due_faults t fs
+    | Some _ | None -> ()
 
   (* ---------------------------------------------------------------- *)
   (* Sequential stepping. *)

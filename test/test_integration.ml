@@ -239,7 +239,13 @@ let test_schedule_fuzz () =
    Search carried its idblock, and every cycle not containing that node
    was dropped.  Mode B (synchronous daemon): two crossed swaps cut nodes
    off with an incoherent distance, they reset to root, R1 rebuilt the
-   same tree and the race repeated with period 16. *)
+   same tree and the race repeated with period 16.  Since the synchronous
+   daemon became a policy of the one engine its random starts draw
+   different channel contents, and that instance (ER n=12 graph 3, seed
+   10) converges even without the fix; graph 1 with seed 0 is pinned
+   instead, the first instance that does not reach the fixpoint without
+   the fix (a quiet stall at a legitimate, improvable tree; no periodic
+   race showed up among graphs 0..29 x seeds 0..29). *)
 
 let mode_a_grid () =
   let root = Prng.create 12345 in
@@ -259,7 +265,7 @@ let sync_converges ~graph ~seed =
     .converged
 
 let test_mode_b_sync_livelock () =
-  check "mode B converges under the synchronous daemon" true (sync_converges ~graph:3 ~seed:10)
+  check "mode B converges under the synchronous daemon" true (sync_converges ~graph:1 ~seed:0)
 
 (* ER n=12 graphs 0..9 x daemon seeds 0..9 from adversarial starts.  It
    also pins graph 3 with seeds 1 and 8, which a first version of the
