@@ -78,7 +78,7 @@ bench-parallel: build
 	$(SIM) bench --out BENCH_engine.json
 	$(SIM) pardet -f grid -n 64 -s 11 --domains 1,2,4
 
-# Parallel determinism gate alone: identical recorded schedules and final
+# Parallel determinism gate alone: identical observer timelines and final
 # states, then identical quiescence fingerprints, across 1/2/4 shards.
 # Non-zero exit on any divergence.
 pardet: build

@@ -377,7 +377,7 @@ let pardet_cmd =
       (match init with `Clean -> "clean" | `Random -> "random");
     let module P = Mdst_check.Parcheck in
     let failures = ref 0 in
-    (* Trace identity: the recorded schedule and final states of a
+    (* Trace identity: the observer timeline and final states of a
        window-driven run must not depend on the shard count. *)
     (let r = P.Default.run_case { P.graph; seed; init; domains; until } in
      match r.P.failure with
@@ -408,7 +408,7 @@ let pardet_cmd =
   Cmd.v
     (Cmd.info "pardet"
        ~doc:"Parallel-determinism check: record a run to the horizon under each shard \
-             count and require identical schedules and final states, then converge the same \
+             count and require identical timelines and final states, then converge the same \
              instance under each shard count and require identical quiescence fingerprints.  \
              Non-zero exit on any divergence.")
     term

@@ -24,13 +24,16 @@ module Make (A : Mdst_sim.Node.AUTOMATON
 struct
   module R = Mdst_core.Run.Runner (A)
 
+  (* The observer timeline (every tick, delivery and fault action with
+     its round and time) and the final states of a run to the horizon. *)
   let record case domains =
     let e =
-      R.make_engine ~seed:case.seed ~init:(case.init :> Mdst_core.Run.init) ~record:true
-        ~domains case.graph
+      R.make_engine ~seed:case.seed ~init:(case.init :> Mdst_core.Run.init) ~domains case.graph
     in
+    let timeline = ref [] in
+    R.Sim.observe e (fun o -> timeline := o :: !timeline);
     R.Sim.run_window e ~until:case.until;
-    (R.Sim.schedule e, Array.copy (R.Sim.states e))
+    (Array.of_list (List.rev !timeline), Array.copy (R.Sim.states e))
 
   let run_case case =
     match case.domains with
@@ -41,7 +44,8 @@ struct
           let sched, final = record case d in
           let at = Seq.zip (Array.to_seq sched0) (Array.to_seq sched) in
           match Seq.find_index (fun (a, b) -> a <> b) at with
-          | Some i -> Some (Printf.sprintf "domains=%d: schedule differs from domains=%d at event %d" d d0 i)
+          | Some i ->
+              Some (Printf.sprintf "domains=%d: timeline differs from domains=%d at event %d" d d0 i)
           | None when Array.length sched <> Array.length sched0 ->
               Some
                 (Printf.sprintf "domains=%d: %d events, domains=%d: %d" d (Array.length sched) d0

@@ -1,8 +1,9 @@
 (** Shard-count invariance of the engine ({!Mdst_sim.Pengine}).
 
-    [run_case] records the merged [(time, key)] schedule and the final
-    states of one window-driven run per shard count and requires them to be
-    identical: the engine's trace does not depend on the number of shards,
+    [run_case] records the observer timeline (merged in [(time, key)]
+    order at each barrier) and the final states of one window-driven run
+    per shard count and requires them to be identical: the engine's trace
+    does not depend on the number of shards,
     so any difference is a sharding bug (a lost or duplicated mailbox
     event, a racy tie-break, a window bound that let a shard run past a
     peer's send).
@@ -20,7 +21,7 @@ type case = {
 }
 
 type report = {
-  events : int;  (** events in the first shard count's schedule *)
+  events : int;  (** observations in the first shard count's timeline *)
   failure : string option;  (** [None] = identical at every shard count *)
 }
 

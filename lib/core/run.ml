@@ -55,15 +55,15 @@ struct
   module Engine = Sim
   module Pengine = Sim
 
-  let make_engine ?(latency = Latency.uniform ()) ?(seed = 42) ?(init = `Clean) ?record
-      ?partition ?domains graph =
+  let make_engine ?(latency = Latency.uniform ()) ?(seed = 42) ?(init = `Clean) ?partition
+      ?domains graph =
     let engine_init =
       match (init : init) with
       | `Clean -> `Clean
       | `Random -> `Random
       | `Tree t -> `Custom (state_of_tree t)
     in
-    Sim.create ~latency ~seed ~init:engine_init ?record ?partition ?domains graph
+    Sim.create ~latency ~seed ~init:engine_init ?partition ?domains graph
 
   let make_pengine = make_engine
 

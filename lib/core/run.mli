@@ -56,7 +56,6 @@ module Runner (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type ms
     ?latency:Mdst_sim.Latency.t ->
     ?seed:int ->
     ?init:init ->
-    ?record:bool ->
     ?partition:int array ->
     ?domains:int ->
     Mdst_graph.Graph.t ->
@@ -67,7 +66,6 @@ module Runner (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type ms
     ?latency:Mdst_sim.Latency.t ->
     ?seed:int ->
     ?init:init ->
-    ?record:bool ->
     ?partition:int array ->
     ?domains:int ->
     Mdst_graph.Graph.t ->

@@ -65,7 +65,6 @@ module Make (A : Node.AUTOMATON) = struct
     metrics : Metrics.t;  (* per-shard: the hot path never contends *)
     mutable in_shards : int array;  (* shards with a cut edge into us *)
     inboxes : packet Mailbox.t array;  (* slot s' = ring written by shard s' *)
-    mutable sched : (float * int * int) list;  (* recording; reversed *)
     mutable notes : note list;  (* observations of the current window; reversed *)
     mutable fstats : Fault.stats;
     mutable tampered_until : float;
@@ -108,7 +107,6 @@ module Make (A : Node.AUTOMATON) = struct
         (* fifo_floor.(src).(k): FIFO floor of the channel from [src] to
            its k-th neighbour (same order as [Graph.neighbors]); O(n + m)
            in total, written only by shard part.(src). *)
-    recording : bool;
     mutable running : bool;  (* inside a parallel window: route via mailboxes *)
     mutable horizon : float;  (* virtual time the run is complete up to *)
     mutable poisoned : bool;  (* a window died; the state is not trustworthy *)
@@ -315,7 +313,7 @@ module Make (A : Node.AUTOMATON) = struct
     Array.init (Graph.n graph) (fun u -> Array.make (Graph.degree graph u) neg_infinity)
 
   let create ?(latency = Latency.uniform ()) ?(tick_period = 1.0) ?(seed = 42)
-      ?(init = `Clean) ?(record = false) ?partition ?(domains = 1) graph =
+      ?(init = `Clean) ?partition ?(domains = 1) graph =
     let n = Graph.n graph in
     if n = 0 then invalid_arg "Pengine.create: empty graph";
     if domains <= 0 then invalid_arg "Pengine.create: domains must be positive";
@@ -359,7 +357,6 @@ module Make (A : Node.AUTOMATON) = struct
             in_shards = in_shards.(s);
             inboxes =
               Array.init k (fun s' -> Mailbox.create ~capacity:(if s' = s then 1 else 256) ());
-            sched = [];
             notes = [];
             fstats = Fault.zero_stats;
             tampered_until = neg_infinity;
@@ -383,7 +380,6 @@ module Make (A : Node.AUTOMATON) = struct
         ctxs = Array.make n (Obj.magic 0);
         lat_rngs = Array.make n rng (* replaced below *);
         fifo_floor = fresh_floors graph;
-        recording = record;
         running = false;
         horizon = 0.0;
         poisoned = false;
@@ -445,12 +441,6 @@ module Make (A : Node.AUTOMATON) = struct
     sh.current_key <- key;
     if tag > sh.rounds then sh.rounds <- tag;
     sh.executed <- sh.executed + 1;
-    if t.recording then
-      sh.sched <-
-        (match ev with
-        | Tick { node; _ } -> (time, key, -node - 1)
-        | Deliver { src; dst; _ } -> (time, key, (src * Graph.n t.graph) + dst))
-        :: sh.sched;
     match ev with
     | Tick { node = i; _ } ->
         (match t.observer with
@@ -616,18 +606,15 @@ module Make (A : Node.AUTOMATON) = struct
         + Array.fold_left (fun a mb -> a + Mailbox.length mb) 0 sh.inboxes)
       0 t.shards
 
-  let queued t =
+  let in_flight t =
     Array.to_list t.shards
     |> List.concat_map (fun sh -> Heap.to_list sh.heap)
     |> List.filter_map (fun (prio, ev) ->
            match ev with
            | Deliver { src; dst; msg; _ } -> Some (prio, (src, dst, msg))
            | Tick _ -> None)
-
-  let in_flight_exists t pred = List.exists (fun (_, (_, _, m)) -> pred m) (queued t)
-
-  let in_flight t =
-    queued t |> List.sort (fun (a, _) (b, _) -> compare a b) |> List.map snd
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
 
   (* ---------------------------------------------------------------- *)
   (* Control between windows. *)
@@ -1041,31 +1028,6 @@ module Make (A : Node.AUTOMATON) = struct
         execute t p.p_shard p.p_prio p.p_seq p.p_event;
         settle t p.p_shard)
       (List.sort (fun a b -> compare (order a) (order b)) !due)
-
-  (* ---------------------------------------------------------------- *)
-  (* Recorded schedule. *)
-
-  type sched_event =
-    | Sched_tick of { node : int }
-    | Sched_deliver of { src : int; dst : int }
-
-  let schedule t =
-    if not t.recording then invalid_arg "Pengine.schedule: created without ~record:true";
-    let n = Graph.n t.graph in
-    let all =
-      Array.concat
-        (Array.to_list (Array.map (fun sh -> Array.of_list (List.rev sh.sched)) t.shards))
-    in
-    Array.sort
-      (fun (t1, k1, _) (t2, k2, _) ->
-        let c = compare t1 t2 in
-        if c <> 0 then c else compare k1 k2)
-      all;
-    Array.map
-      (fun (time, _, code) ->
-        if code < 0 then (time, Sched_tick { node = -code - 1 })
-        else (time, Sched_deliver { src = code / n; dst = code mod n }))
-      all
 
   (* ---------------------------------------------------------------- *)
   (* Driver. *)

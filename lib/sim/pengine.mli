@@ -68,15 +68,13 @@ module Make (A : Node.AUTOMATON) : sig
     ?tick_period:float ->
     ?seed:int ->
     ?init:init ->
-    ?record:bool ->
     ?partition:int array ->
     ?domains:int ->
     Mdst_graph.Graph.t ->
     t
   (** Defaults: uniform latency, [tick_period = 1.0], [seed = 42],
       [init = `Clean], one shard.  [partition] overrides the
-      {!Mdst_graph.Partition.blocks} layout; [record] keeps the executed
-      schedule for {!schedule}.
+      {!Mdst_graph.Partition.blocks} layout.
       @raise Invalid_argument on an empty or disconnected graph,
         [domains <= 0] or beyond {!Shard.max_shards}, an invalid
         partition, or a latency model without a positive lookahead. *)
@@ -147,9 +145,6 @@ module Make (A : Node.AUTOMATON) : sig
   (** The live record with one shard, a merged copy with more. *)
 
   val pending_events : t -> int
-
-  val in_flight_exists : t -> (A.msg -> bool) -> bool
-  (** Is any queued message satisfying the predicate still undelivered? *)
 
   val in_flight : t -> (int * int * A.msg) list
   (** Every queued message as [(src, dst, msg)], sorted by arrival time.
@@ -282,15 +277,4 @@ module Make (A : Node.AUTOMATON) : sig
       closes, and delivering it can knock a quiescent configuration out of
       legitimacy.  Convergence checks must not declare victory while this
       holds. *)
-
-  (** {1 Recorded schedule} *)
-
-  type sched_event =
-    | Sched_tick of { node : int }
-    | Sched_deliver of { src : int; dst : int }
-
-  val schedule : t -> (float * sched_event) array
-  (** The executed events merged across shards in [(time, key)] order (the
-      execution order of a run driven by {!step} or {!run}).
-      @raise Invalid_argument unless created with [~record:true]. *)
 end

@@ -106,6 +106,7 @@ let test_entry_print_parse_fixpoint () =
       "variant=suppressed;init=random;n=4;ids=3,0,2,1;edges=0-1,1-2,2-3;seed=1;\
        plan=seed=5|corrupt:3-9:1>2:0.5;steps=4;sched=t0,t1,0>1,t2";
       "variant=default;init=legitimate;n=3;edges=0-1,1-2;seed=2;dc=1";
+      "variant=default;init=random;n=4;edges=0-1,1-2,2-3,0-3;seed=3;k=2;daemon=sync;sched=t0";
     ]
   in
   List.iter
@@ -134,7 +135,14 @@ let test_entry_print_parse_fixpoint () =
           (has key && has (Printf.sprintf "%S" value))
   in
   names "n=3;edges=0-x,1-2;seed=1" "edges" "0-x";
-  names "n=abc;edges=0-1,1-2;seed=1" "n" "abc"
+  names "n=abc;edges=0-1,1-2;seed=1" "n" "abc";
+  (* The swarm's engine toggles replay: 4 shards, synchronous daemon. *)
+  check "sharded synchronous entry replays clean" true
+    (Fuzz.replay
+       (Fuzz.entry_of_string
+          "variant=default;init=random;n=5;edges=0-1,0-2,1-2,1-3,2-4,3-4;seed=3;k=4;\
+           daemon=sync;steps=400;sched=t0")
+    = Ok ())
 
 (* ---------------- campaign soundness and trophy replay ---------------- *)
 
