@@ -78,8 +78,8 @@ module Runner (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type ms
   val make_pstop :
     ?quiet_rounds:int -> ?fixpoint:(Mdst_graph.Tree.t -> bool) -> unit -> Sim.t -> bool
   (** [Engine], [Pengine], [make_pengine] and [make_pstop] are aliases of
-      [Sim], [Sim], [make_engine] and [make_stop], kept for the benchmark
-      driver. *)
+      [Sim], [Sim], [make_engine] and [make_stop], kept because perfbench
+      calls them. *)
 
   val snapshot : Sim.t -> converged:bool -> result
   (** The {!result} record of a custom engine run, for callers that drive

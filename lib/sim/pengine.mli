@@ -193,8 +193,7 @@ module Make (A : Node.AUTOMATON) : sig
 
   val sync_round : t -> unit
   (** One whole round of {!step_sync}, with the round's events taken out
-      of the heaps in a single pass (the driver for long synchronous
-      runs).  Scheduled fault events due fire at the start of the round
+      of the heaps in a single pass (for long synchronous runs).  Scheduled fault events due fire at the start of the round
       rather than between its events. *)
 
   (** {1 Fault injection}
