@@ -108,11 +108,10 @@ struct
     }
 
   let converge ?latency ?seed ?init ?(max_rounds = default_max_rounds) ?quiet_rounds ?fixpoint
-      ?domains ?window graph =
+      ?domains graph =
     let engine = make_engine ?latency ?seed ?init ?domains graph in
     let stop = make_stop ?quiet_rounds ?fixpoint () in
-    let check_every = if window = None then Some 2 else None in
-    let outcome = Sim.run engine ~max_rounds ?check_every ?window ~stop () in
+    let outcome = Sim.run engine ~max_rounds ~check_every:2 ~stop () in
     snapshot engine ~converged:outcome.converged
 
   (* Convergence-then-corruption: steady state, corrupt a fraction of the

@@ -93,13 +93,10 @@ module Runner (A : Mdst_sim.Node.AUTOMATON with type state = State.t and type ms
     ?quiet_rounds:int ->
     ?fixpoint:(Mdst_graph.Tree.t -> bool) ->
     ?domains:int ->
-    ?window:float ->
     Mdst_graph.Graph.t ->
     result
-  (** Without [window] the stop is checked every 2 rounds: event by event
-      with one shard, at window barriers with more.  With [window] it is
-      checked at every barrier, whatever the shard count, so the outcome
-      does not depend on [domains]. *)
+  (** The stop is checked every 2 rounds event by event with one shard,
+      at every window barrier with more (see {!Sim.run}). *)
 
   val converge_corrupt_recover :
     ?latency:Mdst_sim.Latency.t ->

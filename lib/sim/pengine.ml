@@ -63,7 +63,7 @@ module Make (A : Node.AUTOMATON) = struct
     mutable deliveries : int;
     mutable executed : int;
     metrics : Metrics.t;  (* per-shard: the hot path never contends *)
-    mutable in_shards : int array;  (* shards with a cut edge into us *)
+    in_shards : int array;  (* shards with a cut edge into us *)
     inboxes : packet Mailbox.t array;  (* slot s' = ring written by shard s' *)
     mutable notes : note list;  (* observations of the current window; reversed *)
     mutable fstats : Fault.stats;
@@ -548,40 +548,10 @@ module Make (A : Node.AUTOMATON) = struct
             f (with_round o.o_obs !r))
           notes
 
-  let run_window t ~until =
-    if t.poisoned then invalid_arg "Pengine.run_window: a previous window failed";
-    if until > t.horizon then begin
-      let round = rounds t in
-      Atomic.set t.done_count 0;
-      Atomic.set t.abort false;
-      t.running <- true;
-      let doms =
-        Array.init (t.k - 1) (fun i -> Domain.spawn (fun () -> worker t ~until (i + 1)))
-      in
-      worker t ~until 0;
-      Array.iter Domain.join doms;
-      t.running <- false;
-      match Atomic.get t.failure with
-      | Some (e, bt) ->
-          t.poisoned <- true;
-          Printexc.raise_with_backtrace e bt
-      | None ->
-          Array.iter
-            (fun sh ->
-              ignore (drain_inboxes sh);
-              sh.now <- until)
-            t.shards;
-          t.horizon <- until;
-          if t.k > 1 then flush_notes t ~round
-    end
-
   (* ---------------------------------------------------------------- *)
   (* Accessors (all single-threaded: call between windows only). *)
 
   let graph t = t.graph
-  let domains t = t.k
-  let partition t = t.part
-  let lookahead t = t.lookahead
   let state t i = t.states.(i)
   let states t = t.states
   let set_state t i s = t.states.(i) <- s
@@ -644,6 +614,7 @@ module Make (A : Node.AUTOMATON) = struct
         | Tick _ -> true)
 
   let reshape t ?(remap = fun ~old_graph:_ ~new_graph:_ states -> states) new_graph =
+    if t.k > 1 then invalid_arg "Pengine.reshape: needs a single shard";
     if Graph.n new_graph <> Graph.n t.graph then
       invalid_arg "Pengine.reshape: node count must be preserved";
     if not (Mdst_graph.Algo.is_connected new_graph) then
@@ -669,10 +640,6 @@ module Make (A : Node.AUTOMATON) = struct
               else neg_infinity)
             (Graph.neighbors new_graph u));
     t.graph <- new_graph;
-    if t.k > 1 then begin
-      let ins = Shard.in_shards new_graph t.part ~k:t.k in
-      Array.iteri (fun s sh -> sh.in_shards <- ins.(s)) t.shards
-    end;
     for i = 0 to Graph.n new_graph - 1 do
       let kept_rng = t.ctxs.(i).Node.rng in
       t.ctxs.(i) <- { (make_ctx t i) with Node.rng = kept_rng }
@@ -908,6 +875,45 @@ module Make (A : Node.AUTOMATON) = struct
       true
     end
 
+  (* With scheduled events pending (one shard only), events run one at a
+     time so the events fire between them, as under [step]. *)
+  let run_window t ~until =
+    if t.poisoned then invalid_arg "Pengine.run_window: a previous window failed";
+    if until > t.horizon then
+      match t.faults with
+      | Some { pending = _ :: _; _ } ->
+          let sh = t.shards.(0) in
+          let rec go () =
+            due_faults t;
+            if (not (Heap.is_empty sh.heap)) && Heap.top_prio sh.heap < until && step t then go ()
+          in
+          go ();
+          sh.now <- until;
+          t.horizon <- until
+      | _ -> (
+          let round = rounds t in
+          Atomic.set t.done_count 0;
+          Atomic.set t.abort false;
+          t.running <- true;
+          let doms =
+            Array.init (t.k - 1) (fun i -> Domain.spawn (fun () -> worker t ~until (i + 1)))
+          in
+          worker t ~until 0;
+          Array.iter Domain.join doms;
+          t.running <- false;
+          match Atomic.get t.failure with
+          | Some (e, bt) ->
+              t.poisoned <- true;
+              Printexc.raise_with_backtrace e bt
+          | None ->
+              Array.iter
+                (fun sh ->
+                  ignore (drain_inboxes sh);
+                  sh.now <- until)
+                t.shards;
+              t.horizon <- until;
+              if t.k > 1 then flush_notes t ~round)
+
   type choice =
     | Choose_tick of { node : int }
     | Choose_deliver of { src : int; dst : int; label : string }
@@ -981,53 +987,42 @@ module Make (A : Node.AUTOMATON) = struct
 
   let tag_of p = tag_ev p.p_event
 
+  (* The policy's order on the events of one round. *)
+  let sync_rank p =
+    match p.p_event with
+    | Deliver { dst; _ } -> (0, dst, p.p_seq)
+    | Tick { node; _ } -> (1, node, 0)
+
   let sync_index picks =
     let r = Array.fold_left (fun acc p -> min acc (tag_of p)) max_int picks in
     let best = ref (-1) in
     Array.iteri
       (fun i p ->
-        match p.p_event with
-        | Deliver { dst; tag; _ } when tag = r -> (
-            match !best with
-            | -1 -> best := i
-            | b -> (
-                match picks.(b).p_event with
-                | Deliver d when d.dst < dst || (d.dst = dst && picks.(b).p_seq < p.p_seq) -> ()
-                | _ -> best := i))
-        | Tick _ | Deliver _ -> ())
+        if tag_of p = r && (!best < 0 || sync_rank p < sync_rank picks.(!best)) then best := i)
       picks;
-    if !best >= 0 then !best
-    else
-      (* Ticks come first in the eligible set, in node order. *)
-      Option.get (Array.find_index (fun p -> tag_of p = r) picks)
+    !best
 
   let step_sync t = step_pick t sync_index
 
-  (* One whole round of [step_sync] at once: the round's events are taken
-     out of the heaps in one pass and run in the policy's order. *)
+  (* At a round barrier with one shard and no plan, every queued event
+     belongs to the round and each channel's queue is in key order, so
+     the eligible set only ever offers them in [sync_rank] order: sorting
+     the whole heap once runs the same events as [step_sync] would. *)
   let sync_round t =
-    due_faults t;
-    let r = ref max_int in
-    Array.iter (fun sh -> Heap.iter sh.heap (fun _ _ ev -> r := min !r (tag_ev ev))) t.shards;
-    let r = !r in
-    let due = ref [] in
-    Array.iter
-      (fun sh ->
-        Heap.iter sh.heap (fun prio seq ev ->
-            if tag_ev ev = r then
-              due := { p_shard = sh; p_prio = prio; p_seq = seq; p_event = ev } :: !due);
-        ignore (Heap.filter sh.heap (fun _ ev -> tag_ev ev <> r)))
-      t.shards;
-    let order p =
-      match p.p_event with
-      | Deliver { dst; _ } -> (0, dst, p.p_seq)
-      | Tick { node; _ } -> (1, node, 0)
-    in
+    let sh = t.shards.(0) in
+    let lo = ref max_int and hi = ref min_int and due = ref [] in
+    Heap.iter sh.heap (fun prio seq ev ->
+        lo := min !lo (tag_ev ev);
+        hi := max !hi (tag_ev ev);
+        due := { p_shard = sh; p_prio = prio; p_seq = seq; p_event = ev } :: !due);
+    if t.k > 1 || Option.is_some t.faults || !lo <> !hi then
+      invalid_arg "Pengine.sync_round: needs one shard, no fault plan and a round barrier";
+    Heap.clear sh.heap;
     List.iter
       (fun p ->
-        execute t p.p_shard p.p_prio p.p_seq p.p_event;
-        settle t p.p_shard)
-      (List.sort (fun a b -> compare (order a) (order b)) !due)
+        execute t sh p.p_prio p.p_seq p.p_event;
+        settle t sh)
+      (List.sort (fun a b -> compare (sync_rank a) (sync_rank b)) !due)
 
   (* ---------------------------------------------------------------- *)
   (* Driver. *)
@@ -1053,14 +1048,9 @@ module Make (A : Node.AUTOMATON) = struct
         done
     | _ ->
         if window <= 0.0 then invalid_arg "Pengine.run: window must be positive";
-        let every = Option.value ~default:0 check_every in
-        let next_check = ref (rounds t + every) in
         while (not !finished) && rounds t <= max_rounds do
           run_window t ~until:(t.horizon +. window);
-          if rounds t >= !next_check then begin
-            next_check := rounds t + every;
-            if stop t then finished := true
-          end
+          if stop t then finished := true
         done);
     { converged = stop t; rounds = rounds t; time = t.horizon; deliveries = deliveries t }
 end

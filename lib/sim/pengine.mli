@@ -89,6 +89,8 @@ module Make (A : Node.AUTOMATON) : sig
   val run_window : t -> until:float -> unit
   (** Advance the whole simulation to virtual time [until]: spawns
       [domains - 1] worker domains, runs shard 0 on the caller, joins.
+      While scheduled fault events wait to fire (one shard only), events
+      run one at a time as under {!step}, so each fires at its round.
       No-op when [until <= now t].  A worker exception aborts the window,
       poisons the engine and re-raises on the caller. *)
 
@@ -112,19 +114,11 @@ module Make (A : Node.AUTOMATON) : sig
       caller and [stop] is checked each time the round counter has
       advanced by [check_every].  Otherwise the run advances [window]
       (default 8.0) units of virtual time per {!run_window} and checks
-      [stop] at each barrier (once the round counter has advanced by
-      [check_every], when given). *)
+      [stop] at each barrier. *)
 
   (** {1 Observation} *)
 
   val graph : t -> Mdst_graph.Graph.t
-
-  val domains : t -> int
-
-  val partition : t -> int array
-  (** Node to shard assignment actually in use. *)
-
-  val lookahead : t -> float
 
   val state : t -> int -> A.state
 
@@ -192,9 +186,13 @@ module Make (A : Node.AUTOMATON) : sig
       barrier. *)
 
   val sync_round : t -> unit
-  (** One whole round of {!step_sync}, with the round's events taken out
-      of the heaps in a single pass (for long synchronous runs).  Scheduled fault events due fire at the start of the round
-      rather than between its events. *)
+  (** One whole round of {!step_sync}, in one sort of the heap (for long
+      synchronous runs).  At a round barrier with one shard and no
+      installed plan, every queued event belongs to the round and the
+      eligible set offers them in a fixed order, so sorting once runs
+      exactly the events {!step_sync} would, in the same order.
+      @raise Invalid_argument with more than one shard, an installed
+        plan, or queued events of different causal rounds. *)
 
   (** {1 Fault injection}
 
@@ -239,14 +237,14 @@ module Make (A : Node.AUTOMATON) : sig
     Mdst_graph.Graph.t ->
     unit
   (** Replace the topology mid-run (same node count, must stay connected;
-      the partition is kept).  Messages in flight on vanished edges are
+      one shard only).  Messages in flight on vanished edges are
       lost; surviving channels keep their FIFO floors while new (or
       re-added) channels start fresh; node contexts are rebuilt (each node
       keeps its PRNG stream); [remap] re-homes the state array onto the new
       topology (default: states carried over untouched — protocol-specific
       carriers like [Mdst_core.Transplant.states] plug in here).
-      @raise Invalid_argument on node-count mismatch or a disconnected
-      replacement. *)
+      @raise Invalid_argument on node-count mismatch, a disconnected
+      replacement, or more than one shard. *)
 
   val install_faults :
     t ->

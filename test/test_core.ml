@@ -679,7 +679,11 @@ let test_pengine_k_invariance () =
   (* The sharded engine's schedule is independent of the shard count by
      construction; the observable outcome must be bit-identical across k. *)
   let g = Gen.grid ~rows:4 ~cols:4 in
-  let run d = Run.converge ~seed:5 ~init:`Random ~max_rounds:20_000 ~domains:d ~window:8.0 g in
+  let run d =
+    let e = Run.make_engine ~seed:5 ~init:`Random ~domains:d g in
+    let o = Run.Sim.run e ~max_rounds:20_000 ~stop:(Run.make_stop ()) () in
+    Run.snapshot e ~converged:o.Run.Sim.converged
+  in
   let r1 = run 1 and r2 = run 2 and r3 = run 3 in
   check "k=1 converges" true r1.Run.converged;
   List.iter

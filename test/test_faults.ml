@@ -239,6 +239,22 @@ let test_fault_observations () =
     (Fault.total s + s.Fault.skipped) !seen;
   Alcotest.(check int) "second link skipped" 1 s.Fault.skipped
 
+(* [run] without [check_every] advances by windows; scheduled events must
+   still fire at their round, as they do event by event. *)
+let test_scheduled_faults_in_windows () =
+  let faults check_every =
+    let e = E.create ~seed:17 (Gen.ring 4) in
+    E.install_faults e (Fault.of_string "seed=1|crash:5:2:init|cut:3:0-1|link:4:0-2");
+    let seen = ref [] in
+    E.observe e (function Mdst_sim.Pengine.Obs_fault _ as o -> seen := o :: !seen | _ -> ());
+    ignore (E.run e ~max_rounds:40 ?check_every ~stop:(fun _ -> false) ());
+    check "nothing left pending" false (E.faults_pending e);
+    (E.fault_stats e, List.rev !seen)
+  in
+  let stats, seen = faults None in
+  Alcotest.(check int) "crash, cut and link fired" 3 (Fault.total stats);
+  check "same rounds and times as event by event" true ((stats, seen) = faults (Some 1))
+
 let test_fault_determinism () =
   let snapshot () =
     let e = run_with ~graph:(Gen.ring 5) ~rounds:120 "seed=9|drop:0-50:0>1:0.5|crash:30:2:random|cut:10:0-1" in
@@ -415,6 +431,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "fault observations" `Quick test_fault_observations;
+          Alcotest.test_case "scheduled faults in windows" `Quick test_scheduled_faults_in_windows;
           Alcotest.test_case "determinism" `Quick test_fault_determinism;
           Alcotest.test_case "empty plan no drift" `Quick test_empty_plan_no_drift;
           Alcotest.test_case "purge channel" `Quick test_purge_channel;

@@ -190,7 +190,15 @@ let test_sync_step_matches_round () =
   check "same states" true (S.states by_round = S.states by_step);
   Alcotest.(check int) "same messages"
     (Mdst_sim.Metrics.total_messages (S.metrics by_round))
-    (Mdst_sim.Metrics.total_messages (S.metrics by_step))
+    (Mdst_sim.Metrics.total_messages (S.metrics by_step));
+  (* Off a round barrier the one-sort shortcut would not be [step_sync]:
+     node 0 ticks into the next round while the others have not. *)
+  ignore (S.step_with by_step ~choose:(fun _ -> 0));
+  check "sync_round refuses a split round" true
+    (try
+       S.sync_round by_step;
+       false
+     with Invalid_argument _ -> true)
 
 (* golden/sync_daemon.txt was recorded with the dedicated lockstep engine
    this policy replaced: per ER n=12 graph 0..9 and seed 0..9, from a
