@@ -458,19 +458,23 @@ let sharpen_plan rng (plan : Fault.plan) =
     { plan with Fault.events = events }
   end
 
-(* The engine half of a swarm configuration: 1, 2 or 4 shards (one when
-   the plan schedules crashes, cuts or links) and either daemon. *)
+(* The engine half of a swarm configuration.  One draw in sixteen runs 2
+   or 4 shards (never when the plan schedules crashes, cuts or links) —
+   an adversity run then spawns domains at every window for its whole
+   length — and one in eight the synchronous daemon, whose schedule the
+   policy decides; the rest leave the schedule to the fuzzer on one
+   shard. *)
 let scheduled (plan : Fault.plan) =
   List.exists
     (function Fault.Crash _ | Fault.Cut _ | Fault.Link _ -> true | _ -> false)
     plan.Fault.events
 
 let draw_engine rng (cfg : config) =
-  let domains = [| 1; 2; 4 |].(Prng.int rng 3) in
+  let domains = if Prng.int rng 16 = 0 then [| 2; 4 |].(Prng.int rng 2) else 1 in
   {
     cfg with
     domains = (if scheduled cfg.plan then 1 else domains);
-    daemon = (if Prng.bool rng then `Async else `Sync);
+    daemon = (if Prng.int rng 8 = 0 then `Sync else `Async);
   }
 
 let sweep_entries ~max_n rng =
@@ -658,9 +662,11 @@ let mutate_cfg_entry ~max_n rng (e : entry) =
   if cfg.graph != e.config.graph then { config = cfg; sched = []; steps = 0 }
   else { e with config = cfg }
 
+(* A synchronous entry's schedule is the policy's, so only its
+   configuration is worth mutating. *)
 let mutate_entry ~max_n rng (e : entry) =
   let sched_share = if Fault.is_empty e.config.plan then 7 else 4 in
-  if Prng.int rng 10 < sched_share && e.sched <> [] then begin
+  if e.config.daemon = `Async && Prng.int rng 10 < sched_share && e.sched <> [] then begin
     let sched, steps = mutate_sched rng e.config.graph e.sched e.steps in
     { e with sched; steps }
   end
@@ -819,7 +825,7 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
             if !ncorpus = 0 || Prng.int rng 4 = 0 then gen_random_entry ~max_n rng
             else begin
               let parent = pick_parent () in
-              if Prng.int rng 10 = 0 then begin
+              if parent.config.daemon = `Async && Prng.int rng 10 = 0 then begin
                 let pool, _ = sub_of parent in
                 let key = config_key parent in
                 match
