@@ -93,6 +93,33 @@ let bench_sync_rounds =
            Mdst_core.Run.Sim.sync_round e
          done))
 
+(* Per-event cost of the three ways to pick an event, on the same warmed
+   engine shape: 1,000 events each, so ns/run / 1000 is ns per event. *)
+let warmed_er64 () =
+  let g = Gen.erdos_renyi_connected (Prng.create 1) ~n:64 ~p:(4.0 /. 63.0) in
+  let e = Mdst_core.Run.make_engine ~seed:1 g in
+  for _ = 1 to 20_000 do
+    ignore (Mdst_core.Run.Sim.step e)
+  done;
+  e
+
+let bench_events name run =
+  let e = warmed_er64 () in
+  Test.make ~name:("engine: 1000 events by " ^ name ^ " (ER n=64)")
+    (Staged.stage (fun () ->
+         for _ = 1 to 1000 do
+           ignore (run e)
+         done))
+
+let bench_step = bench_events "step" Mdst_core.Run.Sim.step
+
+let bench_step_with =
+  let rng = Prng.create 2 in
+  bench_events "uniform step_with"
+    (Mdst_core.Run.Sim.step_with ~choose:(fun picks -> Prng.int rng (Array.length picks)))
+
+let bench_step_sync = bench_events "step_sync" Mdst_core.Run.Sim.step_sync
+
 let bench_pif_wave =
   let g = Gen.grid ~rows:4 ~cols:4 in
   let tree = Algo.bfs_tree g ~root:0 in
@@ -121,6 +148,9 @@ let micro_tests =
     bench_fr;
     bench_exact;
     bench_engine_steps;
+    bench_step;
+    bench_step_with;
+    bench_step_sync;
     bench_sync_rounds;
     bench_pif_wave;
     bench_full_convergence;

@@ -1,4 +1,5 @@
-(** The protocol under the synchronous daemon ({!Mdst_sim.Pengine.Make.sync_round}).
+(** The protocol under the synchronous daemon
+    ({!Mdst_sim.Pengine.Make.step_sync}, a round at a time).
 
     Same convergence detection as {!Run} (legitimacy + quiescence +
     optional fixpoint oracle), evaluated after every round, but rounds are

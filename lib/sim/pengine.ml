@@ -39,14 +39,28 @@ let with_round obs round =
   | Obs_fault o -> Obs_fault { o with round }
 
 module Make (A : Node.AUTOMATON) = struct
-  (* One heap entry.  Single-level on purpose: one entry is pushed and
-     popped per simulated send, so an extra wrapper block would be a
-     visible slice of the protocol benchmark's allocations. *)
+  (* One event.  Single-level on purpose: one is allocated per simulated
+     send or tick, so an extra wrapper block would be a visible slice of
+     the protocol benchmark's allocations.  A delivery carries its place
+     in the [(time, key)] order and is a link of its channel's queue; a
+     tick's place is kept in its node's slot ([tick_at], [tick_key]). *)
   type tagged =
     | Tick of { node : int; tag : int }
-    | Deliver of { src : int; dst : int; msg : A.msg; tag : int }
+    | Deliver of { ch : chan; msg : A.msg; tag : int; at : float; key : int; mutable next : tagged }
 
-  type packet = { p_time : float; p_key : int; p_ev : tagged }
+  (* One ordered channel: its in-flight deliveries as a linked queue in
+     [(time, key)] order (not send order: a reorder fault bypasses the
+     FIFO floor), written only by shard part.(dst), and its FIFO floor,
+     written only by shard part.(src). *)
+  and chan = {
+    src : int;
+    dst : int;
+    mutable first : tagged;  (* [nil] when empty *)
+    mutable last : tagged;
+    floor : float array;  (* one cell, so that a send stores it unboxed *)
+  }
+
+  let nil = Tick { node = -1; tag = 0 }
 
   (* An observation made inside a parallel window, held until the barrier;
      [o_tag] is the causal round of the event it belongs to. *)
@@ -64,7 +78,8 @@ module Make (A : Node.AUTOMATON) = struct
     mutable executed : int;
     metrics : Metrics.t;  (* per-shard: the hot path never contends *)
     in_shards : int array;  (* shards with a cut edge into us *)
-    inboxes : packet Mailbox.t array;  (* slot s' = ring written by shard s' *)
+    inboxes : tagged Mailbox.t array;  (* slot s' = ring written by shard s' *)
+    mutable stale : int;  (* heap entries no longer eligible (see [skip_stale]) *)
     mutable notes : note list;  (* observations of the current window; reversed *)
     mutable fstats : Fault.stats;
     mutable tampered_until : float;
@@ -82,6 +97,8 @@ module Make (A : Node.AUTOMATON) = struct
     fremap : old_graph:Graph.t -> new_graph:Graph.t -> A.state array -> A.state array;
     last_window : int;  (* latest round any channel event is open *)
   }
+
+  type choice = Choose_tick of { node : int } | Choose_deliver of { src : int; dst : int }
 
   type t = {
     mutable graph : Graph.t;
@@ -103,10 +120,23 @@ module Make (A : Node.AUTOMATON) = struct
     states : A.state array;
     ctxs : A.msg Node.ctx array;
     lat_rngs : Prng.t array;  (* per-node latency streams *)
-    mutable fifo_floor : float array array;
-        (* fifo_floor.(src).(k): FIFO floor of the channel from [src] to
-           its k-th neighbour (same order as [Graph.neighbors]); O(n + m)
-           in total, written only by shard part.(src). *)
+    armed : tagged array;  (* each node's one armed tick ... *)
+    tick_at : float array;  (* ... its time ... *)
+    tick_key : int array;  (* ... and key *)
+    mutable chans : chan array array;
+        (* chans.(src).(k): the channel from [src] to its k-th neighbour
+           (same order as [Graph.neighbors]), so a walk over [chans] is in
+           [(src * n) + dst] order. *)
+    mutable menu : choice array;
+        (* [step_with]'s choice per tick, then per channel in [chans]
+           order; built on first use. *)
+    mutable indexed : bool;  (* the heaps hold every eligible event (see [collect]) *)
+    mutable heads : int array;  (* [step_with]'s scratch: menu slots of the heads *)
+    mutable picks : choice array array;
+        (* picks.(len): the array [step_with] hands [choose] when [len]
+           events are eligible, reused from pick to pick.  An array that
+           long lives in the major heap, and allocating one per pick would
+           drive the major collector. *)
     mutable running : bool;  (* inside a parallel window: route via mailboxes *)
     mutable horizon : float;  (* virtual time the run is complete up to *)
     mutable poisoned : bool;  (* a window died; the state is not trustworthy *)
@@ -127,6 +157,12 @@ module Make (A : Node.AUTOMATON) = struct
   (* Internal: a peer shard failed; unwind this worker quietly. *)
 
   let tag_ev = function Tick { tag; _ } | Deliver { tag; _ } -> tag
+
+  (* Delivery [a] comes before delivery [b] in the [(time, key)] order. *)
+  let before a b =
+    match (a, b) with
+    | Deliver x, Deliver y -> x.at < y.at || (x.at = y.at && x.key < y.key)
+    | _ -> false
 
   let rounds t =
     if t.k = 1 then t.shards.(0).rounds
@@ -157,8 +193,7 @@ module Make (A : Node.AUTOMATON) = struct
     | Some f -> emit t sh f (Obs_fault { kind; detail = detail (); round = 0; time = sh.now })
     | None -> ()
 
-  (* Slot of [dst] in the sorted neighbour array of [src]; the channel's
-     FIFO floor lives at that slot. *)
+  (* Slot of [dst] in the sorted neighbour array of [src]. *)
   let slot_in graph src dst =
     let nbs = Graph.neighbors graph src in
     let lo = ref 0 and hi = ref (Array.length nbs - 1) in
@@ -172,7 +207,132 @@ module Make (A : Node.AUTOMATON) = struct
       invalid_arg (Printf.sprintf "Pengine: %d -> %d is not a channel" src dst);
     !found
 
-  let drain_inboxes sh =
+  let chan t src dst = t.chans.(src).(slot_in t.graph src dst)
+
+  let fresh_chans graph =
+    Array.init (Graph.n graph) (fun src ->
+        Array.map
+          (fun dst -> { src; dst; first = nil; last = nil; floor = [| neg_infinity |] })
+          (Graph.neighbors graph src))
+
+  let next = function Deliver d -> d.next | Tick _ -> nil
+  let set_next ev v = match ev with Deliver d -> d.next <- v | Tick _ -> ()
+
+  let iter_queue ch f =
+    let ev = ref ch.first in
+    while !ev != nil do
+      f !ev;
+      ev := next !ev
+    done
+
+  let iter_chans t f =
+    for src = 0 to Array.length t.chans - 1 do
+      let out = t.chans.(src) in
+      for k = 0 to Array.length out - 1 do
+        f out.(k)
+      done
+    done
+
+  (* Insert a delivery into its channel's queue: a tail append unless a
+     reorder fault sent it ahead of queued traffic. *)
+  let push_chan ch ev =
+    if ch.first == nil then begin
+      ch.first <- ev;
+      ch.last <- ev
+    end
+    else if before ch.last ev then begin
+      set_next ch.last ev;
+      ch.last <- ev
+    end
+    else if before ev ch.first then begin
+      set_next ev ch.first;
+      ch.first <- ev
+    end
+    else begin
+      let p = ref ch.first in
+      while before (next !p) ev do
+        p := next !p
+      done;
+      set_next ev (next !p);
+      set_next !p ev
+    end
+
+  (* The eligible set is engine state: each node's armed tick and each
+     channel's head.  The shard heaps order the same events by
+     [(time, key)] for [step] and the windows.  An event that leaves the
+     set other than by being popped (a pick, a purge, a vanished edge)
+     stays in its heap as a stale entry, skipped when it reaches the top:
+     a live top is always its channel's head, since the channel's earlier
+     messages sit in the same heap. *)
+  let is_eligible t ev =
+    match ev with
+    | Tick { node; _ } -> t.armed.(node) == ev
+    | Deliver { ch; _ } -> ch.first == ev
+
+  let skip_stale t sh =
+    while (not (Heap.is_empty sh.heap)) && not (is_eligible t (Heap.top sh.heap)) do
+      ignore (Heap.drop_min sh.heap);
+      sh.stale <- sh.stale - 1
+    done
+
+  (* Once stale entries outnumber live ones — a long pick-driven run —
+     the heaps are dropped and nothing is pushed until the next
+     time-ordered step rebuilds them from the tick slots and the channel
+     queues ([reindex]). *)
+  let collect t =
+    let stale = Array.fold_left (fun acc sh -> acc + sh.stale) 0 t.shards in
+    let size = Array.fold_left (fun acc sh -> acc + Heap.length sh.heap) 0 t.shards in
+    if 2 * stale > size + 64 then begin
+      Array.iter
+        (fun sh ->
+          Heap.clear sh.heap;
+          sh.stale <- 0)
+        t.shards;
+      t.indexed <- false
+    end
+
+  let reindex t =
+    if not t.indexed then begin
+      Array.iteri
+        (fun i ev ->
+          Heap.push_at t.shards.(t.part.(i)).heap ~prio:t.tick_at.(i) ~seq:t.tick_key.(i) ev)
+        t.armed;
+      iter_chans t (fun ch ->
+          iter_queue ch (function
+            | Deliver { at; key; _ } as ev ->
+                Heap.push_at t.shards.(t.part.(ch.dst)).heap ~prio:at ~seq:key ev
+            | Tick _ -> ()));
+      t.indexed <- true
+    end
+
+  let clear_chan t ch =
+    let lost = ref 0 in
+    iter_queue ch (fun _ -> incr lost);
+    ch.first <- nil;
+    ch.last <- nil;
+    if t.indexed then begin
+      let sh = t.shards.(t.part.(ch.dst)) in
+      sh.stale <- sh.stale + !lost
+    end;
+    !lost
+
+  (* A delivery enters its destination shard's heap and channel queue
+     together. *)
+  let schedule t sh ev =
+    match ev with
+    | Deliver { ch; at; key; _ } ->
+        if t.indexed then Heap.push_at sh.heap ~prio:at ~seq:key ev;
+        push_chan ch ev
+    | Tick _ -> ()
+
+  let arm t sh i ~at ~tag =
+    let ev = Tick { node = i; tag } and key = fresh_key t sh in
+    t.armed.(i) <- ev;
+    t.tick_at.(i) <- at;
+    t.tick_key.(i) <- key;
+    if t.indexed then Heap.push_at sh.heap ~prio:at ~seq:key ev
+
+  let drain_inboxes t sh =
     let got = ref false in
     Array.iter
       (fun s' ->
@@ -180,9 +340,9 @@ module Make (A : Node.AUTOMATON) = struct
         let more = ref true in
         while !more do
           match Mailbox.try_pop mb with
-          | Some pkt ->
+          | Some ev ->
               got := true;
-              Heap.push_at sh.heap ~prio:pkt.p_time ~seq:pkt.p_key pkt.p_ev
+              schedule t sh ev
           | None -> more := false
         done)
       sh.in_shards;
@@ -190,16 +350,17 @@ module Make (A : Node.AUTOMATON) = struct
 
   (* Backpressure without deadlock: while the receiver's ring is full we
      drain our OWN inboxes (so a peer blocked pushing to us can advance)
-     and retry.  Drained events only enter the heap — everything arriving
-     now is timestamped at or above our current execution bound, so the
-     insertion cannot disturb an execution pass in progress. *)
-  let push_remote t sh ds pkt =
+     and retry.  Drained events only enter the heap and their channel
+     queues — everything arriving now is timestamped at or above our
+     current execution bound, so the insertion cannot disturb an
+     execution pass in progress. *)
+  let push_remote t sh ds ev =
     let mb = t.shards.(ds).inboxes.(sh.sid) in
-    if not (Mailbox.try_push mb pkt) then begin
+    if not (Mailbox.try_push mb ev) then begin
       let n = ref 0 in
-      while not (Mailbox.try_push mb pkt) do
+      while not (Mailbox.try_push mb ev) do
         if Atomic.get t.abort then raise Aborted;
-        ignore (drain_inboxes sh);
+        ignore (drain_inboxes t sh);
         Shard.backoff !n;
         incr n
       done
@@ -217,13 +378,13 @@ module Make (A : Node.AUTOMATON) = struct
         t.lat_lo +. (t.lat_span *. (float_of_int (Prng.raw53 rng) /. 9007199254740992.0))
       else Latency.sample t.latency rng ~src ~dst
     in
+    let ch = t.chans.(src).(slot_in t.graph src dst) in
     let arrival =
       match extra_delay with
       | None ->
-          let floors = t.fifo_floor.(src) in
-          let k = slot_in t.graph src dst in
-          let a = max (sh.now +. lat) (floors.(k) +. fifo_epsilon) in
-          floors.(k) <- a;
+          let floor = ch.floor in
+          let a = max (sh.now +. lat) (floor.(0) +. fifo_epsilon) in
+          floor.(0) <- a;
           a
       (* [extra_delay = Some d] bypasses the FIFO floor: the delayed message
          may be overtaken by later sends on the same channel (reorder
@@ -232,12 +393,21 @@ module Make (A : Node.AUTOMATON) = struct
     in
     Metrics.record_send sh.metrics ~label:(A.msg_label msg)
       ~bits:(A.msg_bits ~n:(Graph.n t.graph) msg);
-    let key = fresh_key t sh in
-    let ev = Deliver { src; dst; msg; tag = sh.current_tag + 1 } in
+    let ev =
+      Deliver
+        {
+          ch;
+          msg;
+          tag = sh.current_tag + 1;
+          at = arrival;
+          key = fresh_key t sh;
+          next = nil;
+        }
+    in
     let ds = t.part.(dst) in
-    if ds = sh.sid then Heap.push_at sh.heap ~prio:arrival ~seq:key ev
-    else if t.running then push_remote t sh ds { p_time = arrival; p_key = key; p_ev = ev }
-    else Heap.push_at t.shards.(ds).heap ~prio:arrival ~seq:key ev;
+    if ds = sh.sid then schedule t sh ev
+    else if t.running then push_remote t sh ds ev
+    else schedule t t.shards.(ds) ev;
     arrival
 
   let in_window (w : Fault.window) round = w.from_round <= round && round <= w.upto_round
@@ -309,9 +479,6 @@ module Make (A : Node.AUTOMATON) = struct
       now = (fun () -> sh.now);
     }
 
-  let fresh_floors graph =
-    Array.init (Graph.n graph) (fun u -> Array.make (Graph.degree graph u) neg_infinity)
-
   let create ?(latency = Latency.uniform ()) ?(tick_period = 1.0) ?(seed = 42)
       ?(init = `Clean) ?partition ?(domains = 1) graph =
     let n = Graph.n graph in
@@ -357,6 +524,7 @@ module Make (A : Node.AUTOMATON) = struct
             in_shards = in_shards.(s);
             inboxes =
               Array.init k (fun s' -> Mailbox.create ~capacity:(if s' = s then 1 else 256) ());
+            stale = 0;
             notes = [];
             fstats = Fault.zero_stats;
             tampered_until = neg_infinity;
@@ -379,7 +547,14 @@ module Make (A : Node.AUTOMATON) = struct
         states = Array.make n (Obj.magic 0);
         ctxs = Array.make n (Obj.magic 0);
         lat_rngs = Array.make n rng (* replaced below *);
-        fifo_floor = fresh_floors graph;
+        armed = Array.make n nil;
+        tick_at = Array.make n 0.0;
+        tick_key = Array.make n 0;
+        chans = fresh_chans graph;
+        menu = [||];
+        indexed = true;
+        heads = [||];
+        picks = [||];
         running = false;
         horizon = 0.0;
         poisoned = false;
@@ -422,9 +597,7 @@ module Make (A : Node.AUTOMATON) = struct
     | `Clean | `Custom _ -> ());
     (* Arm the periodic timers with a random phase each. *)
     for i = 0 to n - 1 do
-      let sh = t.shards.(part.(i)) in
-      Heap.push_at sh.heap ~prio:(Prng.float rng tick_period) ~seq:(fresh_key t sh)
-        (Tick { node = i; tag = 1 })
+      arm t t.shards.(part.(i)) i ~at:(Prng.float rng tick_period) ~tag:1
     done;
     for i = 0 to n - 1 do
       t.lat_rngs.(i) <- Prng.split rng
@@ -434,11 +607,19 @@ module Make (A : Node.AUTOMATON) = struct
   (* ---------------------------------------------------------------- *)
   (* Execution. *)
 
-  let execute t sh time key ev =
-    if time > sh.now then sh.now <- time;
-    let tag = tag_ev ev in
-    sh.current_tag <- tag;
-    sh.current_key <- key;
+  (* Run an eligible event: the top of its shard heap, or a pick. *)
+  let execute t sh ev =
+    (match ev with
+    | Tick { node; tag } ->
+        let time = t.tick_at.(node) in
+        if time > sh.now then sh.now <- time;
+        sh.current_tag <- tag;
+        sh.current_key <- t.tick_key.(node)
+    | Deliver { at; key; tag; _ } ->
+        if at > sh.now then sh.now <- at;
+        sh.current_tag <- tag;
+        sh.current_key <- key);
+    let tag = sh.current_tag in
     if tag > sh.rounds then sh.rounds <- tag;
     sh.executed <- sh.executed + 1;
     match ev with
@@ -448,17 +629,20 @@ module Make (A : Node.AUTOMATON) = struct
         | None -> ());
         t.states.(i) <- A.on_tick t.ctxs.(i) t.states.(i);
         Metrics.record_state_bits sh.metrics (A.state_bits ~n:(Graph.n t.graph) t.states.(i));
-        Heap.push_at sh.heap ~prio:(sh.now +. t.tick_period) ~seq:(fresh_key t sh)
-          (Tick { node = i; tag = tag + 1 })
-    | Deliver { src; dst; msg; _ } ->
+        arm t sh i ~at:(sh.now +. t.tick_period) ~tag:(tag + 1)
+    | Deliver { ch; msg; next; _ } ->
+        (* A live delivery is its channel's head. *)
+        ch.first <- next;
+        if next == nil then ch.last <- nil;
         (match t.observer with
         | Some f ->
             emit t sh f
-              (Obs_deliver { src; dst; label = A.msg_label msg; round = tag; time = sh.now })
+              (Obs_deliver
+                 { src = ch.src; dst = ch.dst; label = A.msg_label msg; round = tag; time = sh.now })
         | None -> ());
         sh.deliveries <- sh.deliveries + 1;
         Metrics.record_delivery sh.metrics;
-        t.states.(dst) <- A.on_message t.ctxs.(dst) t.states.(dst) ~src msg
+        t.states.(ch.dst) <- A.on_message t.ctxs.(ch.dst) t.states.(ch.dst) ~src:ch.src msg
 
   (* Between windows every shard's clock reads the horizon, so a send
      from any node (an event's or [inject]'s) starts from the same now. *)
@@ -475,15 +659,14 @@ module Make (A : Node.AUTOMATON) = struct
         let c = Shard.Clocks.get t.clocks s' in
         if c < !hmin then hmin := c)
       sh.in_shards;
-    ignore (drain_inboxes sh);
+    ignore (drain_inboxes t sh);
     let bound = Float.min (!hmin +. t.lookahead) until in
     let progressed = ref false in
+    skip_stale t sh;
     while (not (Heap.is_empty sh.heap)) && Heap.top_prio sh.heap < bound do
-      let time = Heap.top_prio sh.heap in
-      let key = Heap.top_seq sh.heap in
-      let ev = Heap.drop_min sh.heap in
-      execute t sh time key ev;
-      progressed := true
+      execute t sh (Heap.drop_min sh.heap);
+      progressed := true;
+      skip_stale t sh
     done;
     let next_local = if Heap.is_empty sh.heap then infinity else Heap.top_prio sh.heap in
     Shard.Clocks.advance t.clocks sh.sid (Float.min next_local (!hmin +. t.lookahead));
@@ -520,7 +703,7 @@ module Make (A : Node.AUTOMATON) = struct
     Atomic.incr t.done_count;
     let idle = ref 0 in
     while Atomic.get t.done_count < t.k && not (Atomic.get t.abort) do
-      if drain_inboxes sh then idle := 0 else incr idle;
+      if drain_inboxes t sh then idle := 0 else incr idle;
       Shard.backoff !idle
     done
 
@@ -570,21 +753,20 @@ module Make (A : Node.AUTOMATON) = struct
     end
 
   let pending_events t =
-    Array.fold_left
-      (fun acc sh ->
-        acc + Heap.length sh.heap
-        + Array.fold_left (fun a mb -> a + Mailbox.length mb) 0 sh.inboxes)
-      0 t.shards
+    if t.indexed then Array.fold_left (fun acc sh -> acc + Heap.length sh.heap - sh.stale) 0 t.shards
+    else begin
+      let msgs = ref 0 in
+      iter_chans t (fun ch -> iter_queue ch (fun _ -> incr msgs));
+      Array.length t.armed + !msgs
+    end
 
   let in_flight t =
-    Array.to_list t.shards
-    |> List.concat_map (fun sh -> Heap.to_list sh.heap)
-    |> List.filter_map (fun (prio, ev) ->
-           match ev with
-           | Deliver { src; dst; msg; _ } -> Some (prio, (src, dst, msg))
-           | Tick _ -> None)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
+    let acc = ref [] in
+    iter_chans t (fun ch ->
+        iter_queue ch (function
+          | Deliver { msg; _ } -> acc := (ch.src, ch.dst, msg) :: !acc
+          | Tick _ -> ()));
+    List.rev !acc
 
   (* ---------------------------------------------------------------- *)
   (* Control between windows. *)
@@ -608,10 +790,12 @@ module Make (A : Node.AUTOMATON) = struct
      KEPT (see pengine.mli): later traffic stays ordered after the lost
      messages' arrival times, as on a real FIFO link that lost content. *)
   let purge_channel t ~src ~dst =
-    Heap.filter t.shards.(t.part.(dst)).heap (fun _ ev ->
-        match ev with
-        | Deliver d -> not (d.src = src && d.dst = dst)
-        | Tick _ -> true)
+    if Graph.mem_edge t.graph src dst then begin
+      let lost = clear_chan t (chan t src dst) in
+      collect t;
+      lost
+    end
+    else 0
 
   let reshape t ?(remap = fun ~old_graph:_ ~new_graph:_ states -> states) new_graph =
     if t.k > 1 then invalid_arg "Pengine.reshape: needs a single shard";
@@ -620,25 +804,20 @@ module Make (A : Node.AUTOMATON) = struct
     if not (Mdst_graph.Algo.is_connected new_graph) then
       invalid_arg "Pengine.reshape: graph must stay connected";
     let old_graph = t.graph in
-    (* Messages in flight on vanished edges are lost with the edge. *)
-    Array.iter
-      (fun sh ->
-        ignore
-          (Heap.filter sh.heap (fun _ ev ->
-               match ev with
-               | Deliver { src; dst; _ } -> Graph.mem_edge new_graph src dst
-               | Tick _ -> true)))
-      t.shards;
-    (* Surviving channels keep their FIFO floor; new channels (and re-added
-       ones — their in-flight messages died with the edge) start fresh. *)
-    let old_floors = t.fifo_floor in
-    t.fifo_floor <-
-      Array.init (Graph.n new_graph) (fun u ->
+    (* Messages in flight on vanished edges are lost with the edge;
+       surviving channels keep their queue and FIFO floor, and new
+       channels (re-added ones too) start fresh. *)
+    iter_chans t (fun ch ->
+        if not (Graph.mem_edge new_graph ch.src ch.dst) then ignore (clear_chan t ch));
+    collect t;
+    t.chans <-
+      Array.mapi
+        (fun u row ->
           Array.map
-            (fun v ->
-              if Graph.mem_edge old_graph u v then old_floors.(u).(slot_in old_graph u v)
-              else neg_infinity)
-            (Graph.neighbors new_graph u));
+            (fun ch -> if Graph.mem_edge old_graph u ch.dst then chan t u ch.dst else ch)
+            row)
+        (fresh_chans new_graph);
+    t.menu <- [||];
     t.graph <- new_graph;
     for i = 0 to Graph.n new_graph - 1 do
       let kept_rng = t.ctxs.(i).Node.rng in
@@ -756,10 +935,9 @@ module Make (A : Node.AUTOMATON) = struct
     (not t.windows_closed)
     && begin
          let oldest = ref (rounds t) in
-         Array.iter
-           (fun sh ->
-             Heap.iter sh.heap (fun _ _ ev -> if tag_ev ev < !oldest then oldest := tag_ev ev))
-           t.shards;
+         let see ev = if tag_ev ev < !oldest then oldest := tag_ev ev in
+         Array.iter see t.armed;
+         iter_chans t (fun ch -> iter_queue ch see);
          if !oldest > fs.last_window then t.windows_closed <- true;
          not t.windows_closed
        end
@@ -851,6 +1029,7 @@ module Make (A : Node.AUTOMATON) = struct
 
   (* The shard holding the globally next event in (time, key) order. *)
   let next_shard t =
+    Array.iter (skip_stale t) t.shards;
     Array.fold_left
       (fun best sh ->
         if Heap.is_empty sh.heap then best
@@ -863,28 +1042,41 @@ module Make (A : Node.AUTOMATON) = struct
 
   let step t =
     due_faults t;
+    if not t.indexed then reindex t;
     let sh = if t.k = 1 then t.shards.(0) else next_shard t in
-    if Heap.is_empty sh.heap then false
-    else begin
-      (* top_prio + drop_min instead of pop: no option/tuple per event. *)
-      let time = Heap.top_prio sh.heap in
-      let key = Heap.top_seq sh.heap in
-      let ev = Heap.drop_min sh.heap in
-      execute t sh time key ev;
-      settle t sh;
-      true
-    end
+    (* Pop past stale entries to the next live event. *)
+    let rec live () =
+      if Heap.is_empty sh.heap then nil
+      else begin
+        let ev = Heap.drop_min sh.heap in
+        if is_eligible t ev then ev
+        else begin
+          sh.stale <- sh.stale - 1;
+          live ()
+        end
+      end
+    in
+    let ev = live () in
+    ev != nil
+    && begin
+         execute t sh ev;
+         settle t sh;
+         true
+       end
 
   (* With scheduled events pending (one shard only), events run one at a
      time so the events fire between them, as under [step]. *)
   let run_window t ~until =
     if t.poisoned then invalid_arg "Pengine.run_window: a previous window failed";
-    if until > t.horizon then
+    if until > t.horizon then begin
+      reindex t;
       match t.faults with
       | Some { pending = _ :: _; _ } ->
           let sh = t.shards.(0) in
           let rec go () =
             due_faults t;
+            reindex t;
+            skip_stale t sh;
             if (not (Heap.is_empty sh.heap)) && Heap.top_prio sh.heap < until && step t then go ()
           in
           go ();
@@ -908,74 +1100,74 @@ module Make (A : Node.AUTOMATON) = struct
           | None ->
               Array.iter
                 (fun sh ->
-                  ignore (drain_inboxes sh);
+                  ignore (drain_inboxes t sh);
                   sh.now <- until)
                 t.shards;
               t.horizon <- until;
               if t.k > 1 then flush_notes t ~round)
-
-  type choice =
-    | Choose_tick of { node : int }
-    | Choose_deliver of { src : int; dst : int; label : string }
-
-  type pick = { p_shard : shard; p_prio : float; p_seq : int; p_event : tagged }
-
-  (* Every armed tick in node order, then the FIFO head (least
-     (arrival, key)) of each non-empty ordered channel in [(src * n) +
-     dst] order — the same set and order at every [k]. *)
-  let eligible t =
-    let n = Graph.n t.graph in
-    let ticks = Array.make n None in
-    let heads = Hashtbl.create 16 in
-    Array.iter
-      (fun sh ->
-        Heap.iter sh.heap (fun prio seq ev ->
-            let p = { p_shard = sh; p_prio = prio; p_seq = seq; p_event = ev } in
-            match ev with
-            | Tick { node; _ } -> ticks.(node) <- Some p
-            | Deliver { src; dst; _ } -> (
-                let key = (src * n) + dst in
-                match Hashtbl.find_opt heads key with
-                | Some h when h.p_prio < prio || (h.p_prio = prio && h.p_seq < seq) -> ()
-                | _ -> Hashtbl.replace heads key p)))
-      t.shards;
-    let channels =
-      Hashtbl.fold (fun key p acc -> (key, p) :: acc) heads []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd
-    in
-    Array.of_list (List.filter_map Fun.id (Array.to_list ticks) @ channels)
-
-  (* Run the eligible event [pick] chooses, removing exactly that entry:
-     events are freshly allocated per push, so physical identity picks it
-     out of its shard's heap uniquely. *)
-  let step_pick t pick =
-    due_faults t;
-    let picks = eligible t in
-    if Array.length picks = 0 then false
-    else begin
-      let idx = pick picks in
-      if idx < 0 || idx >= Array.length picks then
-        invalid_arg
-          (Printf.sprintf "Pengine.step_with: choice %d out of range [0, %d)" idx
-             (Array.length picks));
-      let p = picks.(idx) in
-      ignore (Heap.filter p.p_shard.heap (fun _ e -> not (e == p.p_event)));
-      execute t p.p_shard p.p_prio p.p_seq p.p_event;
-      settle t p.p_shard;
-      true
     end
 
+  (* ---------------------------------------------------------------- *)
+  (* Schedule control: picks from the eligible set. *)
+
+  (* Run an eligible event on its owner shard, out of heap order: its
+     heap entry goes stale. *)
+  let step_pick t ev =
+    let owner = match ev with Tick { node; _ } -> node | Deliver { ch; _ } -> ch.dst in
+    let sh = t.shards.(t.part.(owner)) in
+    if t.indexed then sh.stale <- sh.stale + 1;
+    execute t sh ev;
+    settle t sh;
+    collect t
+
+  let menu t =
+    if Array.length t.menu = 0 then begin
+      let delivers =
+        Array.map (fun ch -> Choose_deliver { src = ch.src; dst = ch.dst }) (Array.concat (Array.to_list t.chans))
+      in
+      t.menu <- Array.append (Array.init (Array.length t.armed) (fun node -> Choose_tick { node })) delivers;
+      t.heads <- Array.make (Array.length delivers) 0;
+      t.picks <- Array.make (Array.length t.menu + 1) [||]
+    end;
+    t.menu
+
+  (* The eligible set is every armed tick in node order, then the head of
+     each non-empty ordered channel in [(src * n) + dst] order — the same
+     set and order at every [k]. *)
   let step_with t ~choose =
-    step_pick t (fun picks ->
-        choose
-          (Array.map
-             (fun p ->
-               match p.p_event with
-               | Tick { node; _ } -> Choose_tick { node }
-               | Deliver { src; dst; msg; _ } ->
-                   Choose_deliver { src; dst; label = A.msg_label msg })
-             picks))
+    due_faults t;
+    let menu = menu t in
+    let n = Array.length t.armed in
+    let heads = t.heads in
+    let count = ref 0 and slot = ref n in
+    for src = 0 to Array.length t.chans - 1 do
+      let out = t.chans.(src) in
+      for k = 0 to Array.length out - 1 do
+        if out.(k).first != nil then begin
+          heads.(!count) <- !slot;
+          incr count
+        end;
+        incr slot
+      done
+    done;
+    let len = n + !count in
+    if Array.length t.picks.(len) = 0 then t.picks.(len) <- Array.make len menu.(0);
+    let picks = t.picks.(len) in
+    (* Most slots already hold the right choice: skip the write barrier. *)
+    let offer i c = if picks.(i) != c then picks.(i) <- c in
+    for i = 0 to n - 1 do
+      offer i menu.(i)
+    done;
+    for j = 0 to !count - 1 do
+      offer (n + j) menu.(heads.(j))
+    done;
+    let idx = choose picks in
+    if idx < 0 || idx >= len then
+      invalid_arg (Printf.sprintf "Pengine.step_with: choice %d out of range [0, %d)" idx len);
+    (match picks.(idx) with
+    | Choose_tick { node } -> step_pick t t.armed.(node)
+    | Choose_deliver { src; dst } -> step_pick t (chan t src dst).first);
+    true
 
   (* ---------------------------------------------------------------- *)
   (* The synchronous daemon: a scheduling policy over the eligible set.
@@ -985,44 +1177,54 @@ module Make (A : Node.AUTOMATON) = struct
      event of round r has tag r, so what a round sends waits for the
      next one. *)
 
-  let tag_of p = tag_ev p.p_event
-
-  (* The policy's order on the events of one round. *)
-  let sync_rank p =
-    match p.p_event with
-    | Deliver { dst; _ } -> (0, dst, p.p_seq)
-    | Tick { node; _ } -> (1, node, 0)
-
-  let sync_index picks =
-    let r = Array.fold_left (fun acc p -> min acc (tag_of p)) max_int picks in
-    let best = ref (-1) in
-    Array.iteri
-      (fun i p ->
-        if tag_of p = r && (!best < 0 || sync_rank p < sync_rank picks.(!best)) then best := i)
-      picks;
+  (* The least eligible event in the policy's order — least causal round
+     first; within a round, deliveries by destination then key, then
+     ticks by node — in one walk. *)
+  let sync_next t =
+    let best = ref t.armed.(0) in
+    let tag = ref (tag_ev !best) in
+    for i = 1 to Array.length t.armed - 1 do
+      let ev = t.armed.(i) in
+      if tag_ev ev < !tag then begin
+        best := ev;
+        tag := tag_ev ev
+      end
+    done;
+    (* [dst] is [max_int] while the best event is a tick. *)
+    let dst = ref max_int and key = ref max_int in
+    for src = 0 to Array.length t.chans - 1 do
+      let out = t.chans.(src) in
+      for k = 0 to Array.length out - 1 do
+        match out.(k).first with
+        | Deliver d as ev
+          when d.tag < !tag
+               || d.tag = !tag && (d.ch.dst < !dst || (d.ch.dst = !dst && d.key < !key)) ->
+            best := ev;
+            tag := d.tag;
+            dst := d.ch.dst;
+            key := d.key
+        | Deliver _ | Tick _ -> ()
+      done
+    done;
     !best
 
-  let step_sync t = step_pick t sync_index
+  let step_sync t =
+    due_faults t;
+    step_pick t (sync_next t);
+    true
 
-  (* At a round barrier with one shard and no plan, every queued event
-     belongs to the round and each channel's queue is in key order, so
-     the eligible set only ever offers them in [sync_rank] order: sorting
-     the whole heap once runs the same events as [step_sync] would. *)
   let sync_round t =
-    let sh = t.shards.(0) in
-    let lo = ref max_int and hi = ref min_int and due = ref [] in
-    Heap.iter sh.heap (fun prio seq ev ->
-        lo := min !lo (tag_ev ev);
-        hi := max !hi (tag_ev ev);
-        due := { p_shard = sh; p_prio = prio; p_seq = seq; p_event = ev } :: !due);
-    if t.k > 1 || Option.is_some t.faults || !lo <> !hi then
-      invalid_arg "Pengine.sync_round: needs one shard, no fault plan and a round barrier";
-    Heap.clear sh.heap;
-    List.iter
-      (fun p ->
-        execute t sh p.p_prio p.p_seq p.p_event;
-        settle t sh)
-      (List.sort (fun a b -> compare (sync_rank a) (sync_rank b)) !due)
+    due_faults t;
+    let round = tag_ev (sync_next t) in
+    let rec go () =
+      due_faults t;
+      let ev = sync_next t in
+      if tag_ev ev = round then begin
+        step_pick t ev;
+        go ()
+      end
+    in
+    go ()
 
   (* ---------------------------------------------------------------- *)
   (* Driver. *)

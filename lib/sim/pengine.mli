@@ -40,8 +40,8 @@
     {2 Memory model}
 
     O(n + m + in-flight messages): per-node state/context arrays, one event
-    heap per shard, and per-channel FIFO floors stored as one float per
-    adjacent ordered pair, so simulations scale to thousands of nodes (see
+    heap per shard, and per ordered channel a FIFO floor and a queue of its
+    in-flight messages, so simulations scale to thousands of nodes (see
     EXPERIMENTS.md E19).  Installed fault plans index their channel events
     by ordered channel, so a send on an untampered channel does no
     fault-list scanning and builds no label string. *)
@@ -141,11 +141,9 @@ module Make (A : Node.AUTOMATON) : sig
   val pending_events : t -> int
 
   val in_flight : t -> (int * int * A.msg) list
-  (** Every queued message as [(src, dst, msg)], sorted by arrival time.
-      Per-channel arrival times are strictly increasing (the FIFO floor),
-      so restricted to one ordered channel the list is in delivery order —
-      what a conformance model needs to seed its queues.  O(events log
-      events); an observation hook, not for hot paths. *)
+  (** Every queued message as [(src, dst, msg)]: channels in
+      [(src * n) + dst] order, each in delivery order — what a
+      conformance model needs to seed its queues.  O(n + m + in-flight). *)
 
   val observe : t -> (observation -> unit) -> unit
   (** Install an observer, called before each event is executed — or,
@@ -161,16 +159,24 @@ module Make (A : Node.AUTOMATON) : sig
       events themselves from the {e eligible set}: every armed tick in node
       order, then the FIFO head of every non-empty ordered channel in
       [(src * n) + dst] order.  The set and its order are the same at
-      every shard count. *)
+      every shard count.  The engine keeps the set as state (each node's
+      armed tick, each channel's queue in [(time, key)] order), so a pick
+      is one walk over n ticks and 2m channel heads.  A picked event is
+      not searched out of its shard heap: it stays there as a stale entry
+      that {!step} and the windows skip (lazy deletion), and once stale
+      entries outnumber live ones the heaps are dropped until the next
+      {!step} or window rebuilds them. *)
 
   type choice =
     | Choose_tick of { node : int }
-    | Choose_deliver of { src : int; dst : int; label : string }
+    | Choose_deliver of { src : int; dst : int }
 
   val step_with : t -> choose:(choice array -> int) -> bool
   (** Like {!step}, but [choose] picks which eligible event runs (it
-      returns an index into the array).  Per-channel FIFO is preserved by
-      construction; everything else — tick fairness, latency realism,
+      returns an index into the array) and [true] is returned: every node
+      always has an armed tick, so the set is never empty.  The array
+      belongs to the engine, which reuses it: read it during the call
+      only.  Per-channel FIFO is preserved by construction; everything else — tick fairness, latency realism,
       cross-channel order — is surrendered to the caller.  Virtual time
       still only moves forward (executing an event whose arrival time
       already passed does not rewind [now]).
@@ -183,16 +189,12 @@ module Make (A : Node.AUTOMATON) : sig
       send order, nodes in index order — then lets every node tick once,
       in index order.  From a fresh engine, every event of round [r] has
       causal round [r], and {!rounds} counts completed rounds at each
-      barrier. *)
+      barrier.  One walk over the eligible set per event. *)
 
   val sync_round : t -> unit
-  (** One whole round of {!step_sync}, in one sort of the heap (for long
-      synchronous runs).  At a round barrier with one shard and no
-      installed plan, every queued event belongs to the round and the
-      eligible set offers them in a fixed order, so sorting once runs
-      exactly the events {!step_sync} would, in the same order.
-      @raise Invalid_argument with more than one shard, an installed
-        plan, or queued events of different causal rounds. *)
+  (** {!step_sync} while the next event belongs to the causal round the
+      first one did: a whole round from a barrier, the rest of the round
+      otherwise.  Any shard count, fault plan or starting point. *)
 
   (** {1 Fault injection}
 
@@ -224,8 +226,9 @@ module Make (A : Node.AUTOMATON) : sig
       {!purge_channel} to model losing them. *)
 
   val purge_channel : t -> src:int -> dst:int -> int
-  (** Drop every queued message on the ordered channel [src -> dst];
-      returns how many were lost.  The channel's FIFO floor is {e kept}:
+  (** Drop every queued message on the ordered channel [src -> dst] (0 if
+      there is no such channel); returns how many were lost; no step
+      ever delivers them.  The channel's FIFO floor is {e kept}:
       messages sent after the purge are still delivered strictly after the
       arrival times of the purged ones, as on a real FIFO link that lost
       content without being re-established (see also {!Fault.event}

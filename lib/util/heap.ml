@@ -105,6 +105,10 @@ let top_seq t =
   if t.size = 0 then invalid_arg "Heap.top_seq: empty heap";
   t.seqs.(0)
 
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.values.(0)
+
 let top_prio t =
   if t.size = 0 then invalid_arg "Heap.top_prio: empty heap";
   t.prios.(0)
@@ -136,35 +140,3 @@ let clear t =
   Array.fill t.values 0 t.size t.dummy;
   t.size <- 0;
   t.next_seq <- 0
-
-let filter t keep =
-  (* Compact the surviving entries (keeping their original [seq], so FIFO
-     ties stay deterministic), then re-establish the heap shape. *)
-  let kept = ref 0 in
-  for i = 0 to t.size - 1 do
-    if keep t.prios.(i) t.values.(i) then begin
-      t.prios.(!kept) <- t.prios.(i);
-      t.seqs.(!kept) <- t.seqs.(i);
-      t.values.(!kept) <- t.values.(i);
-      incr kept
-    end
-  done;
-  let removed = t.size - !kept in
-  Array.fill t.values !kept removed t.dummy;
-  t.size <- !kept;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
-  removed
-
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f t.prios.(i) t.seqs.(i) t.values.(i)
-  done
-
-let to_list t =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do
-    acc := (t.prios.(i), t.values.(i)) :: !acc
-  done;
-  !acc

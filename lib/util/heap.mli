@@ -35,6 +35,10 @@ val pop : 'a t -> (float * 'a) option
     popped value: once the caller releases the result, the value is
     collectable (the backing array never pins popped entries). *)
 
+val top : 'a t -> 'a
+(** Value of the minimum entry without removing it.  Allocation-free.
+    @raise Invalid_argument on an empty heap. *)
+
 val top_prio : 'a t -> float
 (** Priority of the minimum entry without removing it.  Allocation-free
     (priorities live in an unboxed float array).
@@ -49,16 +53,3 @@ val drop_min : 'a t -> 'a
 val peek : 'a t -> (float * 'a) option
 
 val clear : 'a t -> unit
-
-val iter : 'a t -> (float -> int -> 'a -> unit) -> unit
-(** [iter t f] calls [f prio seq value] on every entry, in arbitrary heap
-    order. *)
-
-val to_list : 'a t -> (float * 'a) list
-(** Snapshot in arbitrary heap order; used by tests and fault injection. *)
-
-val filter : 'a t -> (float -> 'a -> bool) -> int
-(** [filter t keep] removes every entry for which [keep prio value] is
-    false and returns how many were removed.  The relative order of
-    surviving equal-priority entries is preserved (fault injection purges
-    channels without perturbing FIFO determinism).  O(n log n). *)

@@ -277,14 +277,51 @@ let test_empty_plan_no_drift () =
 
 (* ---------------- ad-hoc primitives ---------------- *)
 
+(* Lost messages leave the engine's heap lazily: drive it with [step],
+   then with [step_with], and count deliveries of the marker messages
+   (label "corrupt") on the given ordered channels. *)
+let resurrections e channels =
+  let seen = ref 0 in
+  E.observe e (function
+    | Mdst_sim.Pengine.Obs_deliver { src; dst; label = "corrupt"; _ }
+      when List.mem (src, dst) channels ->
+        incr seen
+    | _ -> ());
+  for _ = 1 to 200 do
+    ignore (E.step e)
+  done;
+  let rng = Prng.create 1 in
+  for _ = 1 to 200 do
+    ignore (E.step_with e ~choose:(fun c -> Prng.int rng (Array.length c)))
+  done;
+  E.unobserve e;
+  !seen
+
 let test_purge_channel () =
   let e = E.create ~seed:3 (path3 ()) in
-  E.inject e ~src:0 ~dst:1 7;
-  E.inject e ~src:0 ~dst:1 8;
+  E.inject e ~src:0 ~dst:1 corrupt_marker;
+  E.inject e ~src:0 ~dst:1 corrupt_marker;
   E.inject e ~src:1 ~dst:2 9;
+  let pending = E.pending_events e in
   Alcotest.(check int) "purged the ordered channel only" 2 (E.purge_channel e ~src:0 ~dst:1);
   Alcotest.(check int) "idempotent" 0 (E.purge_channel e ~src:0 ~dst:1);
-  Alcotest.(check int) "other channel intact" 1 (E.purge_channel e ~src:1 ~dst:2)
+  Alcotest.(check int) "pending excludes the purged" (pending - 2) (E.pending_events e);
+  check "in_flight excludes the purged" true (E.in_flight e = [ (1, 2, 9) ]);
+  Alcotest.(check int) "other channel intact" 1 (E.purge_channel e ~src:1 ~dst:2);
+  Alcotest.(check int) "no purged message delivered" 0 (resurrections e [ (0, 1) ])
+
+let test_cut_loses_in_flight () =
+  let e = E.create ~seed:3 (Gen.ring 4) in
+  E.inject e ~src:0 ~dst:1 corrupt_marker;
+  E.inject e ~src:1 ~dst:0 corrupt_marker;
+  E.install_faults e (Fault.of_string "seed=1|cut:0:0-1");
+  ignore (E.step e);
+  Alcotest.(check int) "cut fired" 1 (E.fault_stats e).Fault.cuts;
+  let lost (src, dst, _) = (src = 0 && dst = 1) || (src = 1 && dst = 0) in
+  check "in_flight excludes the lost" false (List.exists lost (E.in_flight e));
+  Alcotest.(check int) "pending = ticks + in_flight" (4 + List.length (E.in_flight e))
+    (E.pending_events e);
+  Alcotest.(check int) "no lost message delivered" 0 (resurrections e [ (0, 1); (1, 0) ])
 
 let test_purge_keeps_fifo_floor () =
   (* Pinned semantics (fault.mli, engine.mli): purging a channel KEEPS its
@@ -435,6 +472,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_fault_determinism;
           Alcotest.test_case "empty plan no drift" `Quick test_empty_plan_no_drift;
           Alcotest.test_case "purge channel" `Quick test_purge_channel;
+          Alcotest.test_case "cut loses in-flight messages" `Quick test_cut_loses_in_flight;
           Alcotest.test_case "purge keeps fifo floor" `Quick test_purge_keeps_fifo_floor;
           Alcotest.test_case "reset node" `Quick test_reset_node;
           Alcotest.test_case "reshape" `Quick test_reshape;

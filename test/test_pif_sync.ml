@@ -191,14 +191,13 @@ let test_sync_step_matches_round () =
   Alcotest.(check int) "same messages"
     (Mdst_sim.Metrics.total_messages (S.metrics by_round))
     (Mdst_sim.Metrics.total_messages (S.metrics by_step));
-  (* Off a round barrier the one-sort shortcut would not be [step_sync]:
-     node 0 ticks into the next round while the others have not. *)
+  (* Off a round barrier (node 0 ticks into round 41 alone), a round
+     finishes the split round and stops at the next barrier. *)
   ignore (S.step_with by_step ~choose:(fun _ -> 0));
-  check "sync_round refuses a split round" true
-    (try
-       S.sync_round by_step;
-       false
-     with Invalid_argument _ -> true)
+  S.sync_round by_step;
+  S.sync_round by_round;
+  Alcotest.(check int) "split round finished" 41 (S.rounds by_step);
+  Alcotest.(check int) "and no event of round 42 ran" (S.events by_round) (S.events by_step)
 
 (* golden/sync_daemon.txt was recorded with the dedicated lockstep engine
    this policy replaced: per ER n=12 graph 0..9 and seed 0..9, from a

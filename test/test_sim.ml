@@ -244,6 +244,36 @@ let test_engine_inject_and_in_flight () =
        false
      with Invalid_argument _ -> true)
 
+(* pengine.mli promises the same eligible set, in the same order, at
+   every shard count: uniform picks from one PRNG and then the
+   synchronous daemon must run the same events whatever K. *)
+let test_schedule_control_k_invariant () =
+  let module S = Mdst_core.Run.Sim in
+  let g = Gen.erdos_renyi_connected (Prng.create 12) ~n:12 ~p:0.3 in
+  let record domains =
+    let e = Mdst_core.Run.make_engine ~seed:5 ~init:`Random ~domains g in
+    let timeline = ref [] in
+    S.observe e (fun o -> timeline := o :: !timeline);
+    let rng = Prng.create 7 in
+    for _ = 1 to 2000 do
+      ignore (S.step_with e ~choose:(fun c -> Prng.int rng (Array.length c)))
+    done;
+    let picked = Array.copy (S.states e) in
+    for _ = 1 to 2000 do
+      ignore (S.step_sync e)
+    done;
+    (List.rev !timeline, picked, Array.copy (S.states e))
+  in
+  let timeline, picked, synced = record 1 in
+  Alcotest.(check int) "4,000 observed events" 4000 (List.length timeline);
+  List.iter
+    (fun k ->
+      let timeline', picked', synced' = record k in
+      check (Printf.sprintf "K=%d: same timeline" k) true (timeline' = timeline);
+      check (Printf.sprintf "K=%d: same states after step_with" k) true (picked' = picked);
+      check (Printf.sprintf "K=%d: same states after step_sync" k) true (synced' = synced))
+    [ 2; 4 ]
+
 let test_engine_set_state () =
   let graph = Gen.ring 5 in
   let e = FloodEngine.create ~seed:3 graph in
@@ -494,6 +524,8 @@ let () =
           Alcotest.test_case "corrupt counts" `Quick test_engine_corrupt;
           Alcotest.test_case "inject + in_flight" `Quick test_engine_inject_and_in_flight;
           Alcotest.test_case "set_state" `Quick test_engine_set_state;
+          Alcotest.test_case "schedule control is K-invariant" `Quick
+            test_schedule_control_k_invariant;
           Alcotest.test_case "rejects disconnected" `Quick test_engine_rejects_disconnected;
           Alcotest.test_case "observer hook" `Quick test_engine_observer;
           Alcotest.test_case "rounds = causal depth" `Quick test_rounds_reflect_causal_depth;

@@ -229,30 +229,6 @@ let test_heap_clear () =
   Heap.clear h;
   check "cleared" true (Heap.is_empty h)
 
-let test_heap_filter () =
-  let h = Heap.create () in
-  List.iteri (fun i p -> Heap.push h ~prio:p (string_of_int i)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let removed = Heap.filter h (fun prio _ -> prio < 3.5) in
-  Alcotest.(check int) "removed count" 2 removed;
-  Alcotest.(check int) "length after" 3 (Heap.length h);
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc) in
-  Alcotest.(check (list string)) "survivors in priority order" [ "1"; "3"; "2" ] (drain [])
-
-let test_heap_filter_keeps_fifo () =
-  let h = Heap.create () in
-  List.iter (fun s -> Heap.push h ~prio:1.0 s) [ "a"; "drop"; "b"; "drop"; "c" ];
-  let removed = Heap.filter h (fun _ v -> v <> "drop") in
-  Alcotest.(check int) "removed" 2 removed;
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc) in
-  Alcotest.(check (list string)) "tie order preserved across filter" [ "a"; "b"; "c" ] (drain [])
-
-let test_heap_to_list () =
-  let h = Heap.create () in
-  List.iter (fun p -> Heap.push h ~prio:p p) [ 5.0; 1.0; 3.0 ];
-  let l = Heap.to_list h in
-  Alcotest.(check int) "snapshot size" 3 (List.length l);
-  Alcotest.(check int) "heap unchanged" 3 (Heap.length h)
-
 (* Retention: the heap must not pin popped/removed values in its backing
    array.  Values are tracked through weak pointers; after the structural
    operation and a full major collection the weak slots must be empty. *)
@@ -287,19 +263,6 @@ let test_heap_pop_releases () =
   (* The emptied heap must still work. *)
   Heap.push h ~prio:1.0 (ref 42);
   Alcotest.(check int) "heap usable after drain" 1 (Heap.length h)
-
-let test_heap_filter_releases () =
-  let h = Heap.create ~capacity:4 () in
-  let w = Weak.create 8 in
-  heap_fill h w 8;
-  let removed = Heap.filter h (fun prio _ -> prio < 4.0) in
-  Alcotest.(check int) "removed" 4 removed;
-  Gc.full_major ();
-  let live = weak_live w in
-  (* Read the heap AFTER the collection so [h] itself stays a GC root
-     throughout — otherwise the whole heap dies and the count is vacuous. *)
-  Alcotest.(check int) "survivors still in heap" 4 (Heap.length h);
-  Alcotest.(check int) "only survivors retained" 4 live
 
 let test_heap_clear_releases () =
   let h = Heap.create ~capacity:4 () in
@@ -623,11 +586,7 @@ let () =
           Alcotest.test_case "basic order" `Quick test_heap_basic;
           Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_on_ties;
           Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "filter" `Quick test_heap_filter;
-          Alcotest.test_case "filter keeps fifo ties" `Quick test_heap_filter_keeps_fifo;
-          Alcotest.test_case "to_list snapshot" `Quick test_heap_to_list;
           Alcotest.test_case "pop releases values" `Quick test_heap_pop_releases;
-          Alcotest.test_case "filter releases removed values" `Quick test_heap_filter_releases;
           Alcotest.test_case "clear releases values" `Quick test_heap_clear_releases;
           Alcotest.test_case "push_at tie-break" `Quick test_heap_push_at_tiebreak;
           Alcotest.test_case "push_at vs sorted-list oracle" `Quick test_heap_push_at_oracle;
