@@ -48,16 +48,14 @@ module Make (A : Node.AUTOMATON) = struct
     | Tick of { node : int; tag : int }
     | Deliver of { ch : chan; msg : A.msg; tag : int; at : float; key : int; mutable next : tagged }
 
-  (* One ordered channel: its in-flight deliveries as a linked queue in
+  (* One ordered channel's in-flight deliveries as a linked queue in
      [(time, key)] order (not send order: a reorder fault bypasses the
-     FIFO floor), written only by shard part.(dst), and its FIFO floor,
-     written only by shard part.(src). *)
+     FIFO floor), written only by shard part.(dst). *)
   and chan = {
     src : int;
     dst : int;
     mutable first : tagged;  (* [nil] when empty *)
     mutable last : tagged;
-    floor : float array;  (* one cell, so that a send stores it unboxed *)
   }
 
   let nil = Tick { node = -1; tag = 0 }
@@ -127,16 +125,20 @@ module Make (A : Node.AUTOMATON) = struct
         (* chans.(src).(k): the channel from [src] to its k-th neighbour
            (same order as [Graph.neighbors]), so a walk over [chans] is in
            [(src * n) + dst] order. *)
+    mutable fifo_floor : float array array;
+        (* fifo_floor.(src).(k): that channel's FIFO floor, written only
+           by shard part.(src); kept apart from [chans] so that a send
+           stores it unboxed and a channel costs no extra block. *)
     mutable menu : choice array;
         (* [step_with]'s choice per tick, then per channel in [chans]
            order; built on first use. *)
     mutable indexed : bool;  (* the heaps hold every eligible event (see [collect]) *)
-    mutable heads : int array;  (* [step_with]'s scratch: menu slots of the heads *)
     mutable picks : choice array array;
         (* picks.(len): the array [step_with] hands [choose] when [len]
-           events are eligible, reused from pick to pick.  An array that
-           long lives in the major heap, and allocating one per pick would
-           drive the major collector. *)
+           events are eligible, reused from pick to pick.  At ER n=64 such
+           an array lives in the major heap: a fresh one per pick made a
+           uniform pick cost 14-20 us instead of 2-3 us (the [engine:]
+           tests of bench/main.ml). *)
     mutable running : bool;  (* inside a parallel window: route via mailboxes *)
     mutable horizon : float;  (* virtual time the run is complete up to *)
     mutable poisoned : bool;  (* a window died; the state is not trustworthy *)
@@ -209,11 +211,7 @@ module Make (A : Node.AUTOMATON) = struct
 
   let chan t src dst = t.chans.(src).(slot_in t.graph src dst)
 
-  let fresh_chans graph =
-    Array.init (Graph.n graph) (fun src ->
-        Array.map
-          (fun dst -> { src; dst; first = nil; last = nil; floor = [| neg_infinity |] })
-          (Graph.neighbors graph src))
+  let new_chan src dst = { src; dst; first = nil; last = nil }
 
   let next = function Deliver d -> d.next | Tick _ -> nil
   let set_next ev v = match ev with Deliver d -> d.next <- v | Tick _ -> ()
@@ -276,9 +274,11 @@ module Make (A : Node.AUTOMATON) = struct
     done
 
   (* Once stale entries outnumber live ones — a long pick-driven run —
-     the heaps are dropped and nothing is pushed until the next
-     time-ordered step rebuilds them from the tick slots and the channel
-     queues ([reindex]). *)
+     the heaps are emptied, and nothing enters them until the next [step]
+     or window rebuilds them from the tick slots and the channel queues
+     ([reindex]).  Heap order is [(time, key)] alone, so the rebuild
+     changes no order.  Keeping the heaps current through picks instead
+     cost the synchronous daemon 10% of its time. *)
   let collect t =
     let stale = Array.fold_left (fun acc sh -> acc + sh.stale) 0 t.shards in
     let size = Array.fold_left (fun acc sh -> acc + Heap.length sh.heap) 0 t.shards in
@@ -293,6 +293,7 @@ module Make (A : Node.AUTOMATON) = struct
 
   let reindex t =
     if not t.indexed then begin
+      Array.iter (fun sh -> sh.stale <- 0) t.shards;
       Array.iteri
         (fun i ev ->
           Heap.push_at t.shards.(t.part.(i)).heap ~prio:t.tick_at.(i) ~seq:t.tick_key.(i) ev)
@@ -310,10 +311,8 @@ module Make (A : Node.AUTOMATON) = struct
     iter_queue ch (fun _ -> incr lost);
     ch.first <- nil;
     ch.last <- nil;
-    if t.indexed then begin
-      let sh = t.shards.(t.part.(ch.dst)) in
-      sh.stale <- sh.stale + !lost
-    end;
+    let sh = t.shards.(t.part.(ch.dst)) in
+    sh.stale <- sh.stale + !lost;
     !lost
 
   (* A delivery enters its destination shard's heap and channel queue
@@ -378,13 +377,13 @@ module Make (A : Node.AUTOMATON) = struct
         t.lat_lo +. (t.lat_span *. (float_of_int (Prng.raw53 rng) /. 9007199254740992.0))
       else Latency.sample t.latency rng ~src ~dst
     in
-    let ch = t.chans.(src).(slot_in t.graph src dst) in
+    let k = slot_in t.graph src dst in
     let arrival =
       match extra_delay with
       | None ->
-          let floor = ch.floor in
-          let a = max (sh.now +. lat) (floor.(0) +. fifo_epsilon) in
-          floor.(0) <- a;
+          let floors = t.fifo_floor.(src) in
+          let a = max (sh.now +. lat) (floors.(k) +. fifo_epsilon) in
+          floors.(k) <- a;
           a
       (* [extra_delay = Some d] bypasses the FIFO floor: the delayed message
          may be overtaken by later sends on the same channel (reorder
@@ -396,7 +395,7 @@ module Make (A : Node.AUTOMATON) = struct
     let ev =
       Deliver
         {
-          ch;
+          ch = t.chans.(src).(k);
           msg;
           tag = sh.current_tag + 1;
           at = arrival;
@@ -550,10 +549,10 @@ module Make (A : Node.AUTOMATON) = struct
         armed = Array.make n nil;
         tick_at = Array.make n 0.0;
         tick_key = Array.make n 0;
-        chans = fresh_chans graph;
+        chans = Array.init n (fun src -> Array.map (new_chan src) (Graph.neighbors graph src));
+        fifo_floor = Array.init n (fun u -> Array.make (Graph.degree graph u) neg_infinity);
         menu = [||];
         indexed = true;
-        heads = [||];
         picks = [||];
         running = false;
         horizon = 0.0;
@@ -790,12 +789,7 @@ module Make (A : Node.AUTOMATON) = struct
      KEPT (see pengine.mli): later traffic stays ordered after the lost
      messages' arrival times, as on a real FIFO link that lost content. *)
   let purge_channel t ~src ~dst =
-    if Graph.mem_edge t.graph src dst then begin
-      let lost = clear_chan t (chan t src dst) in
-      collect t;
-      lost
-    end
-    else 0
+    if Graph.mem_edge t.graph src dst then clear_chan t (chan t src dst) else 0
 
   let reshape t ?(remap = fun ~old_graph:_ ~new_graph:_ states -> states) new_graph =
     if t.k > 1 then invalid_arg "Pengine.reshape: needs a single shard";
@@ -809,14 +803,14 @@ module Make (A : Node.AUTOMATON) = struct
        channels (re-added ones too) start fresh. *)
     iter_chans t (fun ch ->
         if not (Graph.mem_edge new_graph ch.src ch.dst) then ignore (clear_chan t ch));
-    collect t;
-    t.chans <-
-      Array.mapi
-        (fun u row ->
+    let carry old fresh =
+      Array.init (Graph.n new_graph) (fun u ->
           Array.map
-            (fun ch -> if Graph.mem_edge old_graph u ch.dst then chan t u ch.dst else ch)
-            row)
-        (fresh_chans new_graph);
+            (fun v -> if Graph.mem_edge old_graph u v then old.(u).(slot_in old_graph u v) else fresh u v)
+            (Graph.neighbors new_graph u))
+    in
+    t.chans <- carry t.chans new_chan;
+    t.fifo_floor <- carry t.fifo_floor (fun _ _ -> neg_infinity);
     t.menu <- [||];
     t.graph <- new_graph;
     for i = 0 to Graph.n new_graph - 1 do
@@ -1042,24 +1036,17 @@ module Make (A : Node.AUTOMATON) = struct
 
   let step t =
     due_faults t;
-    if not t.indexed then reindex t;
-    let sh = if t.k = 1 then t.shards.(0) else next_shard t in
-    (* Pop past stale entries to the next live event. *)
-    let rec live () =
-      if Heap.is_empty sh.heap then nil
-      else begin
-        let ev = Heap.drop_min sh.heap in
-        if is_eligible t ev then ev
-        else begin
-          sh.stale <- sh.stale - 1;
-          live ()
-        end
+    reindex t;
+    let sh =
+      if t.k = 1 then begin
+        skip_stale t t.shards.(0);
+        t.shards.(0)
       end
+      else next_shard t
     in
-    let ev = live () in
-    ev != nil
+    (not (Heap.is_empty sh.heap))
     && begin
-         execute t sh ev;
+         execute t sh (Heap.drop_min sh.heap);
          settle t sh;
          true
        end
@@ -1075,7 +1062,6 @@ module Make (A : Node.AUTOMATON) = struct
           let sh = t.shards.(0) in
           let rec go () =
             due_faults t;
-            reindex t;
             skip_stale t sh;
             if (not (Heap.is_empty sh.heap)) && Heap.top_prio sh.heap < until && step t then go ()
           in
@@ -1115,18 +1101,19 @@ module Make (A : Node.AUTOMATON) = struct
   let step_pick t ev =
     let owner = match ev with Tick { node; _ } -> node | Deliver { ch; _ } -> ch.dst in
     let sh = t.shards.(t.part.(owner)) in
-    if t.indexed then sh.stale <- sh.stale + 1;
+    sh.stale <- sh.stale + 1;
     execute t sh ev;
     settle t sh;
     collect t
 
+  (* The choice per tick, then per channel in [chans] order. *)
   let menu t =
     if Array.length t.menu = 0 then begin
-      let delivers =
-        Array.map (fun ch -> Choose_deliver { src = ch.src; dst = ch.dst }) (Array.concat (Array.to_list t.chans))
-      in
-      t.menu <- Array.append (Array.init (Array.length t.armed) (fun node -> Choose_tick { node })) delivers;
-      t.heads <- Array.make (Array.length delivers) 0;
+      let delivers = Array.concat (Array.to_list t.chans) in
+      t.menu <-
+        Array.append
+          (Array.init (Array.length t.armed) (fun node -> Choose_tick { node }))
+          (Array.map (fun ch -> Choose_deliver { src = ch.src; dst = ch.dst }) delivers);
       t.picks <- Array.make (Array.length t.menu + 1) [||]
     end;
     t.menu
@@ -1138,19 +1125,14 @@ module Make (A : Node.AUTOMATON) = struct
     due_faults t;
     let menu = menu t in
     let n = Array.length t.armed in
-    let heads = t.heads in
-    let count = ref 0 and slot = ref n in
+    let len = ref n in
     for src = 0 to Array.length t.chans - 1 do
       let out = t.chans.(src) in
       for k = 0 to Array.length out - 1 do
-        if out.(k).first != nil then begin
-          heads.(!count) <- !slot;
-          incr count
-        end;
-        incr slot
+        if out.(k).first != nil then incr len
       done
     done;
-    let len = n + !count in
+    let len = !len in
     if Array.length t.picks.(len) = 0 then t.picks.(len) <- Array.make len menu.(0);
     let picks = t.picks.(len) in
     (* Most slots already hold the right choice: skip the write barrier. *)
@@ -1158,8 +1140,16 @@ module Make (A : Node.AUTOMATON) = struct
     for i = 0 to n - 1 do
       offer i menu.(i)
     done;
-    for j = 0 to !count - 1 do
-      offer (n + j) menu.(heads.(j))
+    let i = ref n and slot = ref n in
+    for src = 0 to Array.length t.chans - 1 do
+      let out = t.chans.(src) in
+      for k = 0 to Array.length out - 1 do
+        if out.(k).first != nil then begin
+          offer !i menu.(!slot);
+          incr i
+        end;
+        incr slot
+      done
     done;
     let idx = choose picks in
     if idx < 0 || idx >= len then

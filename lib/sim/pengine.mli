@@ -163,9 +163,9 @@ module Make (A : Node.AUTOMATON) : sig
       armed tick, each channel's queue in [(time, key)] order), so a pick
       is one walk over n ticks and 2m channel heads.  A picked event is
       not searched out of its shard heap: it stays there as a stale entry
-      that {!step} and the windows skip (lazy deletion), and once stale
-      entries outnumber live ones the heaps are dropped until the next
-      {!step} or window rebuilds them. *)
+      that {!step} and the windows skip (lazy deletion).  Once stale
+      entries outnumber live ones the heaps are emptied until the next
+      {!step} or window rebuilds them from the set. *)
 
   type choice =
     | Choose_tick of { node : int }
@@ -176,10 +176,11 @@ module Make (A : Node.AUTOMATON) : sig
       returns an index into the array) and [true] is returned: every node
       always has an armed tick, so the set is never empty.  The array
       belongs to the engine, which reuses it: read it during the call
-      only.  Per-channel FIFO is preserved by construction; everything else — tick fairness, latency realism,
-      cross-channel order — is surrendered to the caller.  Virtual time
-      still only moves forward (executing an event whose arrival time
-      already passed does not rewind [now]).
+      only.  Per-channel FIFO is preserved by construction; everything
+      else — tick fairness, latency realism, cross-channel order — is
+      surrendered to the caller.  Virtual time still only moves forward
+      (executing an event whose arrival time already passed does not
+      rewind [now]).
       @raise Invalid_argument if [choose] returns an out-of-range index. *)
 
   val step_sync : t -> bool

@@ -278,8 +278,11 @@ let test_empty_plan_no_drift () =
 (* ---------------- ad-hoc primitives ---------------- *)
 
 (* Lost messages leave the engine's heap lazily: drive it with [step],
-   then with [step_with], and count deliveries of the marker messages
-   (label "corrupt") on the given ordered channels. *)
+   then with [step_with] (long enough for the heaps to be emptied), then
+   with [step] again (which rebuilds them), and count deliveries of the
+   marker messages (label "corrupt") on the given ordered channels.
+   After each phase the engine holds one tick per node and the messages
+   in flight. *)
 let resurrections e channels =
   let seen = ref 0 in
   E.observe e (function
@@ -287,13 +290,19 @@ let resurrections e channels =
       when List.mem (src, dst) channels ->
         incr seen
     | _ -> ());
-  for _ = 1 to 200 do
-    ignore (E.step e)
-  done;
+  let phase name step =
+    for _ = 1 to 200 do
+      ignore (step ())
+    done;
+    Alcotest.(check int)
+      (name ^ ": pending = ticks + in_flight")
+      (Graph.n (E.graph e) + List.length (E.in_flight e))
+      (E.pending_events e)
+  in
   let rng = Prng.create 1 in
-  for _ = 1 to 200 do
-    ignore (E.step_with e ~choose:(fun c -> Prng.int rng (Array.length c)))
-  done;
+  phase "step" (fun () -> E.step e);
+  phase "step_with" (fun () -> E.step_with e ~choose:(fun c -> Prng.int rng (Array.length c)));
+  phase "step after step_with" (fun () -> E.step e);
   E.unobserve e;
   !seen
 
